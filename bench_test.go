@@ -169,23 +169,22 @@ func benchEngineInput(e *deploy.Engine, seed int64) []float32 {
 
 func BenchmarkEngineInferNaive(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
-	e.Naive = true
 	x := benchEngineInput(e, 10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Infer(x)
+		e.NaiveInt(x)
 	}
 }
 
 func BenchmarkEngineInfer(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
 	x := benchEngineInput(e, 10)
-	e.Infer(x) // warm up: kernel compile + arena build
+	e.InferInt(x) // warm up: kernel compile + arena build
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Infer(x)
+		e.InferInt(x)
 	}
 }
 
@@ -203,7 +202,7 @@ func BenchmarkEngineInferFloat(b *testing.B) {
 }
 
 // BenchmarkEngineInferMixed pins the word-packed integer path at the
-// paper's mixed 8/16-bit activation policy (the Infer default).
+// paper's mixed 8/16-bit activation policy (the InferInt default).
 func BenchmarkEngineInferMixed(b *testing.B) {
 	e := deploy.SyntheticEngine(9, 0.35)
 	e.Policy = deploy.PolicyMixed

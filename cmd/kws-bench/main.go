@@ -4,7 +4,7 @@
 //
 // Engine mode (default) times the inference paths over the same synthetic
 // ST-HybridNet engine (see deploy.SyntheticEngine): the retained scalar
-// naive reference (Engine.Naive), the float32 reference simulation
+// naive reference (Engine.NaiveInt), the float32 reference simulation
 // (Engine.InferFloat — the EngineInfer row, the baseline the integer
 // policies are measured against), the word-packed integer path at the mixed
 // 8/16-bit and fully-8-bit activation policies (Engine.InferInt), and the
@@ -12,11 +12,8 @@
 // EngineInferBatchInt8) swept across worker counts — each batch row is
 // measured under runtime.GOMAXPROCS(workers), with EngineInferBatchFloat
 // (serial per-frame InferFloat over the same batch) as the float baseline.
-// It also records the measured weight density, the model file size, the
-// per-policy activation scratch footprints, and the cost model's per-row
-// layout choices (runs/spans/packed2b) for every lane-dispatched ternary
-// matrix, plus an int8 single-frame row per forced layout (SetForceLayout)
-// so the layout cost model is auditable from the report. Parity
+// It also records the measured weight density, the model file size and the
+// per-policy activation scratch footprints. Parity
 // cross-checks: integer/float on 1000 random frames, 1000 frames of batch
 // output bit-exact against the scalar NaiveInt oracle under both policies,
 // and the same NaiveInt oracle against a telemetry-attached engine
@@ -84,44 +81,42 @@ type result struct {
 }
 
 type report struct {
-	Schema            string                `json:"schema"`
-	Generated         string                `json:"generated"`
-	GoVersion         string                `json:"go_version"`
-	GOOS              string                `json:"goos"`
-	GOARCH            string                `json:"goarch"`
-	GOMAXPROCS        int                   `json:"gomaxprocs"`
-	NumCPU            int                   `json:"num_cpu"`
-	Shape             string                `json:"shape"`
-	Density           float64               `json:"density"`
-	DensityMeasured   float64               `json:"density_measured"`
-	Seed              int64                 `json:"seed"`
-	BatchSize         int                   `json:"batch_size"`
-	Reps              int                   `json:"reps"`
-	ModelFileBytes    int64                 `json:"model_file_bytes"`
-	ScratchBytesFloat int64                 `json:"scratch_bytes_float"`
-	ScratchBytesMixed int64                 `json:"scratch_bytes_mixed"`
-	ScratchBytesInt8  int64                 `json:"scratch_bytes_int8"`
-	WorkerCounts      []int                 `json:"worker_counts"`
-	LayerLayouts      []deploy.LayerLayouts `json:"layer_layouts"`
-	Results           []result              `json:"results"`
-	SpeedupVsNaive    float64               `json:"speedup_mixed_vs_naive"`
-	SpeedupIntVsFloat float64               `json:"speedup_int8_vs_float"`
-	LayoutSpeedups    map[string]float64    `json:"speedup_int8_vs_float_by_layout"`
-	IntFloatParity    bool                  `json:"int_float_parity_1000_frames"`
-	BatchParity       bool                  `json:"batch_parity_1000_frames"`
-	TelemetryParity   bool                  `json:"telemetry_parity_1000_frames"`
-	BatchNsPerFrame   float64               `json:"batch_ns_per_frame"` // mixed @ workers=1 (v2 continuity)
-	BatchNsFrameFloat float64               `json:"batch_ns_per_frame_float"`
-	BatchNsFrameMixed float64               `json:"batch_ns_per_frame_mixed"`
-	BatchNsFrameInt8  float64               `json:"batch_ns_per_frame_int8"`
-	HopFrames         int                   `json:"hop_frames"`           // new frames per incremental hop
-	HopEffectiveMs    int                   `json:"hop_effective_ms"`     // 250 ms snapped to the 20 ms stride grid
-	StreamSampleRate  int                   `json:"stream_sample_rate"`   // rate of the streaming-pipeline rows
-	HopParity         bool                  `json:"hop_parity_1000_hops"` // InferHop == full-window InferInt, both policies
-	HopEngineSpeedups map[string]float64    `json:"hop_engine_speedup_by_policy"`
-	SpeedupHopVsFull  float64               `json:"speedup_hop_vs_full"` // streaming per-hop pipeline (featurise+infer), gated
-	CPUWarning        string                `json:"cpu_warning,omitempty"`
-	Note              string                `json:"note,omitempty"`
+	Schema            string             `json:"schema"`
+	Generated         string             `json:"generated"`
+	GoVersion         string             `json:"go_version"`
+	GOOS              string             `json:"goos"`
+	GOARCH            string             `json:"goarch"`
+	GOMAXPROCS        int                `json:"gomaxprocs"`
+	NumCPU            int                `json:"num_cpu"`
+	Shape             string             `json:"shape"`
+	Density           float64            `json:"density"`
+	DensityMeasured   float64            `json:"density_measured"`
+	Seed              int64              `json:"seed"`
+	BatchSize         int                `json:"batch_size"`
+	Reps              int                `json:"reps"`
+	ModelFileBytes    int64              `json:"model_file_bytes"`
+	ScratchBytesFloat int64              `json:"scratch_bytes_float"`
+	ScratchBytesMixed int64              `json:"scratch_bytes_mixed"`
+	ScratchBytesInt8  int64              `json:"scratch_bytes_int8"`
+	WorkerCounts      []int              `json:"worker_counts"`
+	Results           []result           `json:"results"`
+	SpeedupVsNaive    float64            `json:"speedup_mixed_vs_naive"`
+	SpeedupIntVsFloat float64            `json:"speedup_int8_vs_float"`
+	IntFloatParity    bool               `json:"int_float_parity_1000_frames"`
+	BatchParity       bool               `json:"batch_parity_1000_frames"`
+	TelemetryParity   bool               `json:"telemetry_parity_1000_frames"`
+	BatchNsPerFrame   float64            `json:"batch_ns_per_frame"` // mixed @ workers=1 (v2 continuity)
+	BatchNsFrameFloat float64            `json:"batch_ns_per_frame_float"`
+	BatchNsFrameMixed float64            `json:"batch_ns_per_frame_mixed"`
+	BatchNsFrameInt8  float64            `json:"batch_ns_per_frame_int8"`
+	HopFrames         int                `json:"hop_frames"`           // new frames per incremental hop
+	HopEffectiveMs    int                `json:"hop_effective_ms"`     // 250 ms snapped to the 20 ms stride grid
+	StreamSampleRate  int                `json:"stream_sample_rate"`   // rate of the streaming-pipeline rows
+	HopParity         bool               `json:"hop_parity_1000_hops"` // InferHop == full-window InferInt, both policies
+	HopEngineSpeedups map[string]float64 `json:"hop_engine_speedup_by_policy"`
+	SpeedupHopVsFull  float64            `json:"speedup_hop_vs_full"` // streaming per-hop pipeline (featurise+infer), gated
+	CPUWarning        string             `json:"cpu_warning,omitempty"`
+	Note              string             `json:"note,omitempty"`
 }
 
 // best runs a benchmark reps times and keeps the fastest run — the one
@@ -240,7 +235,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v5",
+		Schema:    "kws-bench/v6",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -254,15 +249,16 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		WorkerCounts:    workerCounts,
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
-		Note: "schema v5 adds the incremental streaming rows: EngineInferHop* time the " +
-			"engine's temporal-cache hop path (12 new frames per 240 ms hop, 0 allocs), " +
-			"StreamHopFull/StreamHopIncremental time the whole per-hop streaming pipeline " +
-			"(MFCC featurisation + inference) at 16 kHz, and speedup_hop_vs_full gates the " +
-			"pipeline ratio — featurisation dominates the full path, while pad erosion " +
-			"caps the engine-only hop reuse near 1.8x (hop_engine_speedup_by_policy). " +
-			"v4 carry-overs: layer_layouts + EngineInferInt8Forced* audit the layout cost " +
-			"model; batch overhead at workers=1 is bounded at 1.5x of single-frame; batch " +
-			"rows are per-policy under GOMAXPROCS=workers",
+		Note: "schema v6 drops layer_layouts, speedup_int8_vs_float_by_layout and the " +
+			"EngineInferInt8Forced* rows: every conv row now has one compiled form (the " +
+			"index-list runs walk), so there is no layout choice left to audit. " +
+			"EngineInferNaive times the NaiveInt scalar oracle. v5 carry-overs: " +
+			"EngineInferHop* time the engine's temporal-cache hop path (12 new frames per " +
+			"240 ms hop, 0 allocs), StreamHopFull/StreamHopIncremental time the whole " +
+			"per-hop streaming pipeline (MFCC featurisation + inference) at 16 kHz, and " +
+			"speedup_hop_vs_full gates the pipeline ratio; batch overhead at workers=1 is " +
+			"bounded at 1.5x of single-frame; batch rows are per-policy under " +
+			"GOMAXPROCS=workers",
 	}
 
 	// Footprints per policy (the paper's Table 6 size story). Restore the
@@ -275,11 +271,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.ScratchBytesMixed = e.ScratchBytes()
 
 	naive := best(reps, func(b *testing.B) {
-		e.Naive = true
-		defer func() { e.Naive = false }()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			e.Infer(x)
+			e.NaiveInt(x)
 		}
 	})
 	naive.Name = "EngineInferNaive"
@@ -317,29 +311,6 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	int8r.Name = "EngineInferInt8"
 	rep.Results = append(rep.Results, int8r)
 
-	// Layout cost-model audit: the per-row choices the model made, plus the
-	// int8 single-frame time with each layout forced everywhere, so the
-	// report shows the auto choice is at (or near) the per-layout floor.
-	rep.LayerLayouts = e.LayoutReport()
-	rep.LayoutSpeedups = map[string]float64{}
-	forcedRows := make([]result, 0, 3)
-	for _, lk := range []deploy.LayoutKind{deploy.LayoutRuns, deploy.LayoutSpans, deploy.LayoutPacked2b} {
-		e.SetForceLayout(lk)
-		e.InferInt(x) // warm up under the forced layout
-		fr := best(reps, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e.InferInt(x)
-			}
-		})
-		ln := lk.String()
-		fr.Name = "EngineInferInt8Forced" + strings.ToUpper(ln[:1]) + ln[1:]
-		rep.Results = append(rep.Results, fr)
-		forcedRows = append(forcedRows, fr)
-		rep.LayoutSpeedups[lk.String()] = flt.NsPerOp / fr.NsPerOp
-	}
-	e.SetForceLayout(deploy.LayoutAuto)
-	rep.LayoutSpeedups["auto"] = flt.NsPerOp / int8r.NsPerOp
 	e.Policy = deploy.PolicyMixed
 
 	// Batch float baseline: serial per-frame InferFloat over the same batch.
@@ -464,9 +435,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	fail := false
-	allocRows := append([]result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
+	allocRows := []result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
 		hopRows["EngineInferHopFloat"], hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"],
-		streamInc}, forcedRows...)
+		streamInc}
 	for _, r := range allocRows {
 		if r.AllocsPerOp != 0 {
 			fmt.Fprintf(os.Stderr, "kws-bench: REGRESSION: %s allocates %d objects/op, want 0\n", r.Name, r.AllocsPerOp)
@@ -523,10 +494,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	writeReport(rep, out)
-	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, %d allocs/op), forced runs/spans/packed2b %.2fx/%.2fx/%.2fx, batch mixed %.0f / int8 %.0f ns/frame @ workers=1, hop mixed %.0f / int8 %.0f ns/hop, stream hop %.0f vs full %.0f ns (%.2fx) -> %s\n",
+	fmt.Printf("kws-bench: naive %.0f ns/op, float %.0f ns/op, mixed %.0f ns/op, int8 %.0f ns/op (%.2fx vs float, %d allocs/op), batch mixed %.0f / int8 %.0f ns/frame @ workers=1, hop mixed %.0f / int8 %.0f ns/hop, stream hop %.0f vs full %.0f ns (%.2fx) -> %s\n",
 		naive.NsPerOp, flt.NsPerOp, mixed.NsPerOp, int8r.NsPerOp,
 		rep.SpeedupIntVsFloat, int8r.AllocsPerOp,
-		rep.LayoutSpeedups["runs"], rep.LayoutSpeedups["spans"], rep.LayoutSpeedups["packed2b"],
 		rep.BatchNsFrameMixed, rep.BatchNsFrameInt8,
 		hopRows["EngineInferHopMixed"].NsPerOp, hopRows["EngineInferHopInt8"].NsPerOp,
 		streamInc.NsPerOp, streamFull.NsPerOp, rep.SpeedupHopVsFull, out)

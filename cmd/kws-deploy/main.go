@@ -93,7 +93,7 @@ func main() {
 	agree, correct := 0, 0
 	floatPred := h.Forward(tx, false).ArgmaxRows()
 	for i := 0; i < tx.Dim(0); i++ {
-		_, cls := eng.Infer(tx.Data[i*dim : (i+1)*dim])
+		_, cls := eng.InferInt(tx.Data[i*dim : (i+1)*dim])
 		if cls == floatPred[i] {
 			agree++
 		}

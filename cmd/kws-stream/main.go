@@ -94,7 +94,7 @@ func main() {
 			fatal(log, fmt.Errorf("%s has %d classes, detector needs %d", *engine, n, speechcmd.NumClasses))
 		}
 		// Policy flags override whatever a v3 model stored; the Detector
-		// routes through Engine.Infer, which honours e.Policy per frame.
+		// routes through Engine.InferBatchInto, which honours e.Policy per frame.
 		if *int8Pol {
 			eng.Policy = deploy.PolicyInt8
 		} else if *mixedPol {

@@ -42,13 +42,13 @@ func ternaryRows(rng *rand.Rand, rows, taps int, density float64) []int8 {
 	return w
 }
 
-// TestGatherRowLayoutsProperty drives all three compiled row layouts — index
-// runs, coalesced spans and two-bit-packed words — over randomized shapes
-// and densities and checks every one against the scalar oracle on every
-// column including the pads. The sweep deliberately crosses the edge cases:
-// all-zero rows, full-density rows, rows shorter than one 32-tap packed
-// word, tap counts past the 256-plane chunk budget, and ragged column
-// counts that force a padded stride.
+// TestGatherRowLayoutsProperty drives both row walks — the index-list runs
+// walk every conv row takes and the coalesced span walk of the lane tree
+// projection — over randomized shapes and densities and checks each against
+// the scalar oracle on every column including the pads. The sweep
+// deliberately crosses the edge cases: all-zero rows, full-density rows,
+// tap counts past the 256-plane chunk budget, and ragged column counts that
+// force a padded stride.
 func TestGatherRowLayoutsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	tapCases := []int{1, 3, 7, 31, 32, 33, 40, 64, 255, 256, 300}
@@ -64,7 +64,6 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 		w := ternaryRows(rng, rows, taps, density)
 		sp := compileRows(w, rows, taps)
 		span := compileSpanRows(sp, rows)
-		pk := compilePackedRows(w, rows, taps)
 
 		cols := make([]int8, taps*stride)
 		for i := range cols {
@@ -80,8 +79,6 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 			gatherPlanesI8W(runs, colsB, plus, minus, stride)
 			spans := make([]int32, stride)
 			gatherLaneI8(spans, colsB, span.chunks[r], stride)
-			packed := make([]int32, stride)
-			pk.gatherRow(r, packed, colsB, stride)
 
 			for j := 0; j < stride; j++ {
 				if runs[j] != want[j] {
@@ -92,10 +89,6 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): spans[%d]=%d, want %d",
 						trial, r, taps, nOut, density, j, spans[j], want[j])
 				}
-				if packed[j] != want[j] {
-					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): packed[%d]=%d, want %d",
-						trial, r, taps, nOut, density, j, packed[j], want[j])
-				}
 			}
 		}
 	}
@@ -103,11 +96,12 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 
 // TestFusedRowKernelsMatchTwoPhase pins the fused gather+requant kernels
 // against the two-phase pair they replace, across random multipliers,
-// biases, ReLU cuts, dst lengths off the 32-column tile width, multi-chunk
-// rows (which must take the fallback) and the saturated-multiplier guard.
+// biases, ReLU cuts, dst lengths off the 32-column tile width, rows past one
+// fold budget (which must take the fallback) and the saturated-multiplier
+// guard.
 func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	tapCases := []int{1, 12, 40, 300} // 300 > chunkPlanes8: two chunks
+	tapCases := []int{1, 12, 40, 300} // 300 > chunkPlanes8: denser rows take the fallback
 	colCases := []int{5, 8, 29, 32, 96, 125, 128}
 	for trial := 0; trial < 80; trial++ {
 		taps := tapCases[rng.Intn(len(tapCases))]
@@ -115,7 +109,7 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 		stride := pad8(nOut)
 		w := ternaryRows(rng, 1, taps, 0.1+0.8*rng.Float64())
 		sp := compileRows(w, 1, taps)
-		span := compileSpanRows(sp, 1)
+		plus, minus := sp.row(0)
 
 		cols := make([]int8, taps*stride)
 		for i := range cols {
@@ -131,34 +125,12 @@ func TestFusedRowKernelsMatchTwoPhase(t *testing.T) {
 		relu := rng.Intn(2) == 0
 		acc := make([]int32, stride)
 
-		gotQ8 := make([]int8, nOut)
-		gatherLaneQ8(gotQ8, acc, colsB, span.chunks[0], stride, m, b, relu)
-		wantAcc := make([]int32, stride)
-		gatherLaneI8(wantAcc, colsB, span.chunks[0], stride)
+		wantAcc := oracleGather(cols, plus, minus, stride)
 		wantQ8 := make([]int8, nOut)
 		requantRowI8(wantQ8, wantAcc, m, b, relu)
-		for j := range wantQ8 {
-			if gotQ8[j] != wantQ8[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v b=%d relu=%v): q8[%d]=%d, want %d",
-					trial, taps, nOut, m, b, relu, j, gotQ8[j], wantQ8[j])
-			}
-		}
-
-		gotQ16 := make([]int16, nOut)
-		gatherLaneQ16(gotQ16, acc, colsB, span.chunks[0], stride, m)
 		wantQ16 := make([]int16, nOut)
 		requantRowHid16(wantQ16, wantAcc, m)
-		for j := range wantQ16 {
-			if gotQ16[j] != wantQ16[j] {
-				t.Fatalf("trial %d (taps=%d cols=%d m=%+v): q16[%d]=%d, want %d",
-					trial, taps, nOut, m, j, gotQ16[j], wantQ16[j])
-			}
-		}
 
-		// The runs-layout twins over the same row, against the same oracle
-		// (the index-list gather and the span gather agree by
-		// TestGatherRowLayoutsProperty, so one two-phase oracle serves both).
-		plus, minus := sp.row(0)
 		gotR8 := make([]int8, nOut)
 		gatherPlanesQ8(gotR8, acc, colsB, plus, minus, stride, m, b, relu)
 		for j := range wantQ8 {
@@ -199,54 +171,6 @@ func TestDWTapWord(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: dwTapWord(len=%d, off=%d) = %#x, want %#x", trial, n, off, got, want)
 		}
-	}
-}
-
-// TestChooseLayoutSanity pins the cost model's qualitative choices: empty
-// rows ride the span no-op, long coalesced runs pick spans, dense fragmented
-// rows pick the packed walk, and isolated far-apart nonzeros keep the runs
-// walk.
-func TestChooseLayoutSanity(t *testing.T) {
-	compile := func(w []int8, taps int) ([]int32, []int32, []laneChunk) {
-		sp := compileRows(w, 1, taps)
-		span := compileSpanRows(sp, 1)
-		plus, minus := sp.row(0)
-		return plus, minus, span.chunks[0]
-	}
-
-	empty := make([]int8, 64)
-	p, m, ch := compile(empty, 64)
-	if got := chooseLayout(p, m, ch, 64); got != LayoutSpans {
-		t.Fatalf("empty row: %v, want spans", got)
-	}
-
-	run := make([]int8, 64)
-	for i := 0; i < 32; i++ {
-		run[i] = 1
-	}
-	p, m, ch = compile(run, 64)
-	if got := chooseLayout(p, m, ch, 64); got != LayoutSpans {
-		t.Fatalf("single long run: %v, want spans", got)
-	}
-
-	dense := make([]int8, 32)
-	for i := range dense {
-		if i%2 == 0 {
-			dense[i] = 1
-		} else {
-			dense[i] = -1
-		}
-	}
-	p, m, ch = compile(dense, 32)
-	if got := chooseLayout(p, m, ch, 32); got != LayoutPacked2b {
-		t.Fatalf("dense alternating row: %v, want packed2b", got)
-	}
-
-	sparse := make([]int8, 256)
-	sparse[3], sparse[200] = 1, -1
-	p, m, ch = compile(sparse, 256)
-	if got := chooseLayout(p, m, ch, 256); got != LayoutRuns {
-		t.Fatalf("isolated nonzeros: %v, want runs", got)
 	}
 }
 
@@ -296,14 +220,26 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 		if got := obs.LaneFrames.Value(); got != laneFrames {
 			t.Fatalf("pol %v: %d frames on the lane path, want %d", pol, got, laneFrames)
 		}
-		if got := obs.Spans.Value(); got <= 0 {
-			t.Fatalf("pol %v: no span sweeps counted on the lane path", pol)
+		// The tree projection's Wb is the lane path's only span gather, so
+		// each lane decodes exactly its span sweeps.
+		var sweeps int64
+		for _, chs := range e.Tree.Z.wbSpan.chunks {
+			for _, ch := range chs {
+				sweeps += int64(len(ch.plus) + len(ch.minus))
+			}
+		}
+		if sweeps == 0 {
+			t.Fatalf("pol %v: test engine's tree projection has no spans", pol)
+		}
+		lanes := obs.LaneLanes.Value()
+		if got := obs.Spans.Value(); got != lanes*sweeps {
+			t.Fatalf("pol %v: %d span sweeps counted, want %d lanes × %d", pol, got, lanes, sweeps)
 		}
 	}
 }
 
 // TestMixedSingleBatchConcurrent shares one engine between a single-frame
-// caller (Infer's documented single-goroutine contract) and concurrent
+// caller (InferInt's documented single-goroutine contract) and concurrent
 // InferBatch callers, validating under -race that the resident arena and
 // the batch lane arenas never alias. Every caller checks its classes
 // against a reference engine.
@@ -323,7 +259,7 @@ func TestMixedSingleBatchConcurrent(t *testing.T) {
 			x[j] = float32(rng.NormFloat64())
 		}
 		ins[i] = x
-		_, wantClass[i] = ref.Infer(x)
+		_, wantClass[i] = ref.InferInt(x)
 	}
 
 	iters := 30

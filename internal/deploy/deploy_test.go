@@ -185,7 +185,7 @@ func TestCompiledEngineAgreesWithFloatModel(t *testing.T) {
 	n := tx.Dim(0)
 	dim := tx.Dim(1)
 	for i := 0; i < n; i++ {
-		_, cls := eng.Infer(tx.Data[i*dim : (i+1)*dim])
+		_, cls := eng.InferInt(tx.Data[i*dim : (i+1)*dim])
 		if cls == floatPred[i] {
 			agree++
 		}
@@ -227,8 +227,8 @@ func TestEngineSerializationRoundTrip(t *testing.T) {
 	// Identical predictions before and after the round trip.
 	dim := tx.Dim(1)
 	for i := 0; i < tx.Dim(0); i++ {
-		s1, c1 := eng.Infer(tx.Data[i*dim : (i+1)*dim])
-		s2, c2 := loaded.Infer(tx.Data[i*dim : (i+1)*dim])
+		s1, c1 := eng.InferInt(tx.Data[i*dim : (i+1)*dim])
+		s2, c2 := loaded.InferInt(tx.Data[i*dim : (i+1)*dim])
 		if c1 != c2 {
 			t.Fatalf("sample %d: class %d vs %d after round trip", i, c1, c2)
 		}

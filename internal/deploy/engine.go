@@ -31,12 +31,9 @@ type QConv struct {
 	ReLU                        bool
 	InScale, HidScale, OutScale float32
 
-	wb, wc           []int8       // unpacked dense ternaries (naive reference path)
-	wbSp, wcSp       sparseRows   // compiled nonzero index lists (hot path)
-	wbSpan, wcSpan   spanRows     // span-coalesced rows for the lane kernels
-	wbPack2, wcPack2 packedRows   // two-bit-packed rows (wpack.go)
-	wbLay, wcLay     []LayoutKind // per-row layout chosen by the cost model
-	hidMul8, outMul8 []Mult       // PolicyInt8 requantisers, derived by deriveAct8
+	wb, wc           []int8     // unpacked dense ternaries (naive reference path)
+	wbSp, wcSp       sparseRows // compiled nonzero index lists (hot path)
+	hidMul8, outMul8 []Mult     // PolicyInt8 requantisers, derived by deriveAct8
 
 	// Depthwise column-lane tables (collane.go compileDWCol): per-tap linear
 	// read offsets and per-tap-per-group lane-validity masks for the SWAR
@@ -114,12 +111,11 @@ func (q *QConv) Forward(x []int8, h, w int) ([]int8, int, int) {
 // oracle: it iterates every ternary entry (zeros included), accumulates in
 // int64, and allocates its scratch per call. The engine's hot path uses the
 // precompiled sparse kernels in kernels.go; forwardRef is retained as the
-// correctness oracle behind Engine.Naive/Engine.NaiveInt and the
-// sparse-vs-naive property tests. The int64 accumulators are narrowed to
-// int32 before each requantisation, so if a sum ever exceeded 32 bits the
-// oracle would wrap exactly like the int32 kernels do — the two can only
-// diverge if the reference itself overflows int64, which no representable
-// shape approaches.
+// correctness oracle behind Engine.NaiveInt and the sparse-vs-naive
+// property tests. The int64 accumulators are narrowed to int32 before each
+// requantisation, so if a sum ever exceeded 32 bits the oracle would wrap
+// exactly like the int32 kernels do — the two can only diverge if the
+// reference itself overflows int64, which no representable shape approaches.
 func (q *QConv) forwardRef(x []int8, h, w int, pol Policy) ([]int8, int, int) {
 	if q.wb == nil {
 		q.unpack()
@@ -420,11 +416,11 @@ func (t *QTree) Forward(x []int8) []int32 {
 
 // Engine is a compiled integer ST-HybridNet.
 //
-// Infer and InferSafe run on a resident scratch arena and are therefore not
-// safe for concurrent use on one engine; concurrent callers use InferBatch,
-// which checks a private arena out per worker. The scores slice they return
-// is arena-owned and valid until the next Infer/InferSafe call on the same
-// engine — copy it to retain it.
+// InferInt and InferSafe run on a resident scratch arena and are therefore
+// not safe for concurrent use on one engine; concurrent callers use
+// InferBatch, which checks a private arena out per worker. The scores slice
+// they return is arena-owned and valid until the next InferInt/InferSafe
+// call on the same engine — copy it to retain it.
 type Engine struct {
 	Frames, Coeffs int32
 	InScale        float32
@@ -444,13 +440,8 @@ type Engine struct {
 	// the operative constants.
 	Calib []CalibEntry
 
-	// Naive routes Infer/InferBatch through the retained dense reference
-	// kernels — the correctness oracle the sparse kernels are verified
-	// against, and the baseline cmd/kws-bench measures speedup over.
-	Naive bool
-
 	compileOnce sync.Once   // guards kernel compilation
-	arena       *arena      // resident arena for Infer/InferSafe
+	arena       *arena      // resident arena for InferInt/InferSafe
 	arenas      sync.Pool   // spare arenas for the per-frame batch fallback
 	laneArenas  sync.Pool   // spare frame-major lane arenas (lane.go)
 	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
@@ -552,23 +543,11 @@ func poolInto(dst []int8, img []int8, c, h, w, k, s, srcCh int) (int, int) {
 	return outH, outW
 }
 
-// Infer classifies one float MFCC image (length Frames·Coeffs), returning
-// integer class scores and the argmax class. The scores slice is owned by
-// the engine's arena and valid until the next Infer/InferSafe call; in
-// steady state Infer performs zero heap allocations.
-func (e *Engine) Infer(x []float32) (scores []int32, class int) {
-	if len(x) != int(e.Frames*e.Coeffs) {
-		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))
-	}
-	if e.Naive {
-		return e.inferNaive(x, e.Policy)
-	}
-	return e.inferInt(x)
-}
-
-// InferInt is Infer pinned to the word-packed integer kernels: it ignores
-// the Naive flag, runs at the engine's Policy, and performs zero heap
-// allocations in steady state. Same arena-ownership rules as Infer.
+// InferInt classifies one float MFCC image (length Frames·Coeffs) through
+// the word-packed integer kernels at the engine's Policy, returning integer
+// class scores and the argmax class. The scores slice is owned by the
+// engine's arena and valid until the next InferInt/InferSafe call; in steady
+// state InferInt performs zero heap allocations.
 func (e *Engine) InferInt(x []float32) (scores []int32, class int) {
 	if len(x) != int(e.Frames*e.Coeffs) {
 		panic(fmt.Sprintf("deploy: input length %d, want %d", len(x), e.Frames*e.Coeffs))

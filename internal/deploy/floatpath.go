@@ -30,7 +30,7 @@ import (
 // This path is the "float engine" baseline that cmd/kws-bench measures the
 // word-packed integer kernels against: same sparsity exploitation (index
 // gathers over the compiled nonzero runs), but 4-byte activations and no
-// word packing. It runs on a resident scratch arena, so like Infer it is not
+// word packing. It runs on a resident scratch arena, so like InferInt it is not
 // safe for concurrent use on one engine.
 
 // floatArena is the float path's scratch memory, sized once from the

@@ -60,7 +60,7 @@ func FuzzReadEngine(f *testing.F) {
 				t.Fatal("nil engine without error")
 			}
 			// Anything the loader accepts must satisfy the structural
-			// invariants — Infer on it must not be able to panic.
+			// invariants — InferInt on it must not be able to panic.
 			if verr := eng.Validate(); verr != nil {
 				t.Fatalf("accepted engine fails validation: %v", verr)
 			}

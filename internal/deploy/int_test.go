@@ -174,7 +174,7 @@ func TestFloatSimulationRandomized(t *testing.T) {
 }
 
 // TestInferIntZeroAllocs gates the headline perf property under both
-// policies: steady-state InferInt and InferIntSafe allocate nothing.
+// policies: steady-state InferInt and InferSafe allocate nothing.
 func TestInferIntZeroAllocs(t *testing.T) {
 	e := SyntheticEngine(23, 0.35)
 	x := make([]float32, e.Frames*e.Coeffs)
@@ -188,24 +188,24 @@ func TestInferIntZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(50, func() { e.InferInt(x) }); allocs != 0 {
 			t.Fatalf("pol %v: InferInt allocates %.1f objects/op in steady state, want 0", pol, allocs)
 		}
-		if allocs := testing.AllocsPerRun(50, func() { e.InferIntSafe(x) }); allocs != 0 {
-			t.Fatalf("pol %v: InferIntSafe allocates %.1f objects/op in steady state, want 0", pol, allocs)
+		if allocs := testing.AllocsPerRun(50, func() { e.InferSafe(x) }); allocs != 0 {
+			t.Fatalf("pol %v: InferSafe allocates %.1f objects/op in steady state, want 0", pol, allocs)
 		}
 	}
 }
 
-// TestConcurrentBatchAcrossPolicies runs InferBatch concurrently on three
-// engines — mixed-policy, fully-8-bit, and the naive oracle — in one
-// process (the ci.sh -race pass covers this), checking every frame against
-// the per-engine serial result.
+// TestConcurrentBatchAcrossPolicies runs three engines concurrently in one
+// process (the ci.sh -race pass covers this) — InferBatch at the mixed and
+// fully-8-bit policies, and the NaiveInt oracle itself — checking every
+// frame against the per-engine serial NaiveInt result.
 func TestConcurrentBatchAcrossPolicies(t *testing.T) {
-	mk := func(pol Policy, naive bool) *Engine {
+	mk := func(pol Policy) *Engine {
 		e := SyntheticEngine(31, 0.3)
 		e.Policy = pol
-		e.Naive = naive
 		return e
 	}
-	engines := []*Engine{mk(PolicyMixed, false), mk(PolicyInt8, false), mk(PolicyMixed, true)}
+	// The last engine runs the NaiveInt oracle instead of InferBatch.
+	engines := []*Engine{mk(PolicyMixed), mk(PolicyInt8), mk(PolicyMixed)}
 	rng := rand.New(rand.NewSource(32))
 	const n = 8
 	xs := make([][]float32, n)
@@ -228,13 +228,27 @@ func TestConcurrentBatchAcrossPolicies(t *testing.T) {
 			want[ei][i] = expect{append([]int32(nil), sc...), cls}
 		}
 	}
+	// The oracle engine answers through per-frame NaiveInt calls, shaped
+	// like a batch so all three engines share the check below.
+	naiveBatch := func(e *Engine) []BatchResult {
+		res := make([]BatchResult, len(xs))
+		for i, x := range xs {
+			sc, cls := e.NaiveInt(x)
+			res[i] = BatchResult{Scores: sc, Class: cls}
+		}
+		return res
+	}
 	done := make(chan error, 2*len(engines))
 	for ei, e := range engines {
 		for g := 0; g < 2; g++ {
 			e, w := e, want[ei]
+			infer := e.InferBatch
+			if ei == len(engines)-1 {
+				infer = func([][]float32) []BatchResult { return naiveBatch(e) }
+			}
 			go func() {
 				for round := 0; round < 4; round++ {
-					for i, r := range e.InferBatch(xs) {
+					for i, r := range infer(xs) {
 						if r.Err != nil {
 							done <- r.Err
 							return

@@ -4,12 +4,12 @@ package deploy
 //
 // TWN quantisation drives most ternary entries to zero, so iterating a dense
 // ternary row wastes the majority of its loop trips on `t == 0` checks. At
-// kernel-compilation time (ReadEngine / Compile / first Infer) every ternary
+// kernel-compilation time (ReadEngine / Compile / first InferInt) every ternary
 // matrix row is converted into two index lists — the columns of its +1
 // entries and the columns of its −1 entries — so the inner loops become
 // gather-add / gather-sub over only the nonzeros. Integer addition is exact
 // and commutative, so the sparse kernels are bit-identical to the naive
-// dense reference retained in engine.go (Engine.Naive).
+// dense reference retained in engine.go (NaiveInt).
 
 // sparseRows is a compiled ternary matrix: one flat index array holding, per
 // row, the run of +1 column indices followed by the run of −1 column
@@ -68,18 +68,6 @@ func (q *QConv) compileKernels() {
 	}
 	q.wbSp = compileRows(q.wb, int(q.R), int(q.Cin*q.KH*q.KW))
 	q.wcSp = compileRows(q.wc, int(q.Cout), int(q.R))
-	// Span-coalesced forms for the SWAR lane kernels (span.go, lane.go):
-	// adjacent ±1 runs become single strided sweeps.
-	q.wbSpan = compileSpanRows(q.wbSp, int(q.R))
-	q.wcSpan = compileSpanRows(q.wcSp, int(q.Cout))
-	// Two-bit-packed forms (wpack.go) for rows whose nonzeros are too
-	// fragmented for spans to pay; the cost model assigns each row its
-	// cheapest layout.
-	q.wbPack2 = compilePackedRows(q.wb, int(q.R), int(q.Cin*q.KH*q.KW))
-	q.wcPack2 = compilePackedRows(q.wc, int(q.Cout), int(q.R))
-	q.wbLay = make([]LayoutKind, int(q.R))
-	q.wcLay = make([]LayoutKind, int(q.Cout))
-	q.setLayout(LayoutAuto)
 }
 
 func (q *QDense) compileKernels() {
@@ -417,7 +405,7 @@ func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32
 }
 
 // stdHiddenRows computes hidden rows [lo,hi): each row gathers its +/−
-// im2col planes (at plane stride ps, through the row's chosen layout) into a
+// im2col planes (at plane stride ps, through the index-list runs walk) into a
 // private int32 accumulator slot, then rescales to int16 through the
 // per-hidden-unit fixed-point multiplier. Accumulator slots and hidden
 // planes are indexed by row at the padded stride, so sharded workers never
@@ -457,7 +445,7 @@ func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os,
 }
 
 // stdOutRows8 computes output channels [lo,hi) from int8 hidden planes
-// (PolicyInt8) through each row's chosen layout; only the real nOut columns
+// (PolicyInt8) through the index-list runs walk; only the real nOut columns
 // are written to out.
 func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os, lo, hi int) {
 	hidB := i8Bytes(hidden8)

@@ -347,7 +347,7 @@ func (q *QConv) forwardLane(a *laneArena, x, out []int8, h, w int, pol Policy) (
 	return outH, outW
 }
 
-// stdLane is the standard-conv lane kernel: the span-coalesced SWAR gather
+// stdLane is the standard-conv lane kernel: the index-list SWAR gather
 // into the lane hidden planes, then the 1×1 combine with per-channel
 // requantisation. Rows run serially — batch parallelism is across lanes, not
 // within a stage — and the row accumulator is reused, so the working set is
@@ -606,11 +606,11 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 // runLane classifies one lane's worth of frames (1–8) into dst. Full, valid
 // lanes take the frame-major fast path — observed through the instrumented
 // lane pipeline when telemetry is attached, no longer demoted to scalar;
-// short lanes, wrong-length frames and the naive oracle fall back to the
-// per-frame scalar kernels, and a panic escaping the lane path is retried
-// per frame so only the faulting frame reports an error.
+// short lanes and wrong-length frames fall back to the per-frame scalar
+// kernels, and a panic escaping the lane path is retried per frame so only
+// the faulting frame reports an error.
 func (e *Engine) runLane(xs [][]float32, dst []BatchResult) {
-	if len(xs) >= laneMinFrames && !e.Naive {
+	if len(xs) >= laneMinFrames {
 		want := int(e.Frames) * int(e.Coeffs)
 		ok := true
 		for _, x := range xs {

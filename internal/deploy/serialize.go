@@ -474,7 +474,7 @@ func readBody(rd *reader) *Engine {
 // 3 (policy + calibration table). Every dimension is bounds-checked before
 // the allocation it sizes, the v2+ checksum is verified against the body,
 // and the result passes Validate before it is returned — a non-nil engine
-// cannot panic in Infer. v1/v2 artifacts load as PolicyMixed with a nil
+// cannot panic in InferInt. v1/v2 artifacts load as PolicyMixed with a nil
 // calibration table.
 func ReadEngine(r io.Reader) (*Engine, error) {
 	br := bufio.NewReader(r)
@@ -519,7 +519,7 @@ func ReadEngine(r io.Reader) (*Engine, error) {
 		return nil, err
 	}
 	// The artifact is structurally sound: unpack the ternaries and build the
-	// sparse gather kernels now, so the first Infer pays no compilation cost
+	// sparse gather kernels now, so the first InferInt pays no compilation cost
 	// and load failures cannot hide until the hot path.
 	e.ensureCompiled()
 	return e, nil

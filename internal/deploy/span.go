@@ -1,6 +1,8 @@
 package deploy
 
-// Compile-time run-span coalescing for the frame-major lane kernels.
+// Compile-time run-span coalescing for the frame-major lane tree projection
+// (lane.go forwardLane, the tree's Z Wb rows). Conv rows keep the index-list
+// runs walk on every path.
 //
 // The sparse row form (kernels.go) stores a ternary row as two sorted column
 // index lists. Ternarised weights are frequently *clustered* — adjacent taps

@@ -263,7 +263,7 @@ func TestEngineSparseMatchesNaiveRandomized(t *testing.T) {
 				x[i] = float32(rng.NormFloat64())
 			}
 			wantSc, wantCls := e.inferNaive(x, PolicyMixed)
-			gotSc, gotCls := e.Infer(x)
+			gotSc, gotCls := e.InferInt(x)
 			if gotCls != wantCls {
 				t.Fatalf("seed %d trial %d: class %d vs naive %d", seed, trial, gotCls, wantCls)
 			}
@@ -286,7 +286,7 @@ func TestSyntheticEngineSparseMatchesNaive(t *testing.T) {
 			x[i] = float32(rng.NormFloat64())
 		}
 		wantSc, wantCls := e.inferNaive(x, PolicyMixed)
-		gotSc, gotCls := e.Infer(x)
+		gotSc, gotCls := e.InferInt(x)
 		if gotCls != wantCls {
 			t.Fatalf("trial %d: class %d vs naive %d", trial, gotCls, wantCls)
 		}
@@ -298,7 +298,7 @@ func TestSyntheticEngineSparseMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestEngineInferZeroAllocs pins the headline property: steady-state Infer
+// TestEngineInferZeroAllocs pins the headline property: steady-state InferInt
 // and InferSafe on the default ST-HybridNet shape allocate nothing.
 func TestEngineInferZeroAllocs(t *testing.T) {
 	e := SyntheticEngine(1, 0.35)
@@ -307,9 +307,9 @@ func TestEngineInferZeroAllocs(t *testing.T) {
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())
 	}
-	e.Infer(x) // warm up: kernel compile + arena build
-	if allocs := testing.AllocsPerRun(50, func() { e.Infer(x) }); allocs != 0 {
-		t.Fatalf("Infer allocates %.1f objects/op in steady state, want 0", allocs)
+	e.InferInt(x) // warm up: kernel compile + arena build
+	if allocs := testing.AllocsPerRun(50, func() { e.InferInt(x) }); allocs != 0 {
+		t.Fatalf("InferInt allocates %.1f objects/op in steady state, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(50, func() { e.InferSafe(x) }); allocs != 0 {
 		t.Fatalf("InferSafe allocates %.1f objects/op in steady state, want 0", allocs)
@@ -317,7 +317,7 @@ func TestEngineInferZeroAllocs(t *testing.T) {
 }
 
 // bigParallelEngine builds a single-conv engine whose gather work crosses
-// parallelThreshold, so Infer exercises the sharded kernels.
+// parallelThreshold, so InferInt exercises the sharded kernels.
 func bigParallelEngine(seed int64) *Engine {
 	rng := rand.New(rand.NewSource(seed))
 	const h, w = 64, 64
@@ -376,7 +376,7 @@ func TestSparseParallelMatchesNaive(t *testing.T) {
 		x[i] = float32(rng.NormFloat64())
 	}
 	wantSc, wantCls := e.inferNaive(x, PolicyMixed)
-	gotSc, gotCls := e.Infer(x)
+	gotSc, gotCls := e.InferInt(x)
 	if runtime.GOMAXPROCS(0) > 1 && e.arena.workers == 0 {
 		t.Fatal("expected the big conv to enable shard workers")
 	}
@@ -390,7 +390,7 @@ func TestSparseParallelMatchesNaive(t *testing.T) {
 	}
 	// Repeat runs reuse the same arena and workers.
 	for i := 0; i < 3; i++ {
-		sc, cls := e.Infer(x)
+		sc, cls := e.InferInt(x)
 		if cls != wantCls || sc[0] != wantSc[0] {
 			t.Fatalf("run %d diverged", i)
 		}
@@ -412,7 +412,7 @@ func TestInferBatchMatchesInfer(t *testing.T) {
 			x[j] = float32(rng.NormFloat64())
 		}
 		xs[i] = x
-		sc, cls := e.Infer(x)
+		sc, cls := e.InferInt(x)
 		want[i] = append([]int32(nil), sc...)
 		wantCls[i] = cls
 	}
@@ -532,17 +532,17 @@ func TestInferBatchConcurrent(t *testing.T) {
 	}
 }
 
-// TestNaiveFlagRoutesReference: the oracle flag must reach both APIs.
-func TestNaiveFlagRoutesReference(t *testing.T) {
+// TestNaiveIntMatchesCompiledPaths: the NaiveInt oracle must agree with both
+// compiled entry points, single-frame InferInt and InferBatch.
+func TestNaiveIntMatchesCompiledPaths(t *testing.T) {
 	e := SyntheticEngine(11, 0.3)
 	x := make([]float32, e.Frames*e.Coeffs)
 	for i := range x {
 		x[i] = float32(i%13) * 0.01
 	}
-	sc, cls := e.Infer(x)
+	sc, cls := e.InferInt(x)
 	scCopy := append([]int32(nil), sc...)
-	e.Naive = true
-	nSc, nCls := e.Infer(x)
+	nSc, nCls := e.NaiveInt(x)
 	if nCls != cls {
 		t.Fatalf("naive class %d vs sparse %d", nCls, cls)
 	}
@@ -553,6 +553,6 @@ func TestNaiveFlagRoutesReference(t *testing.T) {
 	}
 	res := e.InferBatch([][]float32{x})
 	if res[0].Err != nil || res[0].Class != cls {
-		t.Fatalf("naive batch: %v class %d, want %d", res[0].Err, res[0].Class, cls)
+		t.Fatalf("batch: %v class %d, want %d", res[0].Err, res[0].Class, cls)
 	}
 }

@@ -13,7 +13,7 @@ import (
 //
 // An engine with a nil observer pays one pointer comparison per inference —
 // the sparse path is otherwise byte-for-byte the PR 2 code, so disabled
-// telemetry keeps Infer at 0 allocs/op (pinned by TestEngineInferZeroAllocs
+// telemetry keeps InferInt at 0 allocs/op (pinned by TestEngineInferZeroAllocs
 // and the ci.sh bench gate).
 type Observer struct {
 	Infers     *telemetry.Counter   // completed sparse inferences
@@ -29,7 +29,7 @@ type Observer struct {
 	// lane pipeline, which feeds these.
 	LaneLanes  *telemetry.Counter // lane dispatches taken by InferBatch
 	LaneFrames *telemetry.Counter // frames classified on the lane path
-	Spans      *telemetry.Counter // span sweeps decoded by lane gathers
+	Spans      *telemetry.Counter // span sweeps decoded by the lane tree projection
 
 	// Incremental hop-path accounting (hop.go). HopColumns is the number of
 	// conv output positions actually recomputed — against Infers·(total
@@ -86,31 +86,16 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 	return o
 }
 
-// spansPerLane counts the span sweeps one batch lane decodes: every compiled
-// span of every row the lane path walks at the engine's current policy (the
-// int16 hidden combine under the mixed policy keeps the index gather, so its
-// wcSpan rows are excluded).
+// spansPerLane counts the span sweeps one batch lane decodes. Conv rows
+// walk their index lists, so the only span gather on the lane path is the
+// tree projection's Wb (lane.go forwardLane → gatherLaneI8).
 func (e *Engine) spansPerLane() int64 {
-	countSpans := func(s *spanRows) int64 {
-		var n int64
-		for _, chs := range s.chunks {
-			for _, ch := range chs {
-				n += int64(len(ch.plus) + len(ch.minus))
-			}
-		}
-		return n
-	}
 	var n int64
-	for _, q := range e.Convs {
-		if q.Kind != kindStandard {
-			continue
-		}
-		n += countSpans(&q.wbSpan)
-		if e.Policy == PolicyInt8 {
-			n += countSpans(&q.wcSpan)
+	for _, chs := range e.Tree.Z.wbSpan.chunks {
+		for _, ch := range chs {
+			n += int64(len(ch.plus) + len(ch.minus))
 		}
 	}
-	n += countSpans(&e.Tree.Z.wbSpan)
 	return n
 }
 

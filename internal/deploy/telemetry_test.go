@@ -25,8 +25,8 @@ func TestEngineTelemetryCounts(t *testing.T) {
 		for i := range x {
 			x[i] = float32(rng.NormFloat64())
 		}
-		sc, cls := e.Infer(x)
-		psc, pcls := plain.Infer(x)
+		sc, cls := e.InferInt(x)
+		psc, pcls := plain.InferInt(x)
 		if cls != pcls {
 			t.Fatalf("observed class %d, plain %d", cls, pcls)
 		}
@@ -86,7 +86,7 @@ func TestEngineTraceNestedSpans(t *testing.T) {
 	tr := telemetry.NewTracer(0)
 	e.EnableTelemetry(telemetry.NewRegistry(), tr)
 	x := make([]float32, e.Frames*e.Coeffs)
-	e.Infer(x)
+	e.InferInt(x)
 
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {

@@ -170,7 +170,7 @@ func (q *QDense) validate(name string) error {
 // Validate cross-checks the whole engine before any unpack allocation: every
 // layer's internal consistency, the conv chain's channel/spatial propagation
 // from the declared input image down to the tree projection, and the tree's
-// node/θ/LUT layout. A nil error means Infer cannot index out of bounds.
+// node/θ/LUT layout. A nil error means InferInt cannot index out of bounds.
 func (e *Engine) Validate() error {
 	if e.Frames < 1 || e.Frames > maxDim || e.Coeffs < 1 || e.Coeffs > maxDim {
 		return fmt.Errorf("%w: input image %d×%d", ErrCorrupt, e.Frames, e.Coeffs)
@@ -286,31 +286,13 @@ func (e *Engine) Validate() error {
 	return nil
 }
 
-// InferSafe is the always-on wrapper around Infer: it validates the input
+// InferSafe is the always-on wrapper around InferInt: it validates the input
 // length up front and converts any engine panic (a corrupt-but-plausible
 // model, an internal bug) into an error instead of killing the process.
-// Like Infer it runs on the engine's resident arena — zero steady-state
+// Like InferInt it runs on the engine's resident arena — zero steady-state
 // allocations, scores valid until the next call, not concurrency-safe
 // (use InferBatch for concurrent callers).
 func (e *Engine) InferSafe(x []float32) (scores []int32, class int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			e.obs.fault()
-			scores, class, err = nil, -1, fmt.Errorf("deploy: inference panic: %v", r)
-		}
-	}()
-	if want := int(e.Frames) * int(e.Coeffs); len(x) != want {
-		e.obs.fault()
-		return nil, -1, fmt.Errorf("%w: input length %d, want %d", ErrShapeMismatch, len(x), want)
-	}
-	s, c := e.Infer(x)
-	return s, c, nil
-}
-
-// InferIntSafe is InferSafe pinned to the word-packed integer kernels (the
-// InferInt entry point): length-checked input, panics converted to errors,
-// zero steady-state allocations, not concurrency-safe.
-func (e *Engine) InferIntSafe(x []float32) (scores []int32, class int, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.obs.fault()

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
+	"unicode"
 )
 
 func startFront(t *testing.T, cfg Config, readTimeout time.Duration) (*Server, *TCPFront, string) {
@@ -194,4 +196,51 @@ func TestRunLoadTCP(t *testing.T) {
 	if rep.SessionsSustained != rep.Sessions {
 		t.Fatalf("sustained %d of %d TCP sessions: %+v", rep.SessionsSustained, rep.Sessions, rep)
 	}
+}
+
+// TestParseHello pins the hello grammar: the first field is exactly "open",
+// id= and pri= are the only options, and pri must be an integer.
+func TestParseHello(t *testing.T) {
+	for _, c := range []struct {
+		line string
+		id   string
+		pri  int
+		ok   bool
+	}{
+		{"open", "", 0, true},
+		{"open id=a pri=3", "a", 3, true},
+		{"open pri=-2 id=x", "x", -2, true},
+		{"openx id=a pri=1", "", 0, false},
+		{"openx", "", 0, false},
+		{"open pri=x", "", 0, false},
+		{"open id=a junk", "", 0, false},
+		{"", "", 0, false},
+		{"id=a open", "", 0, false},
+	} {
+		id, pri, ok := parseHello(c.line)
+		if id != c.id || pri != c.pri || ok != c.ok {
+			t.Errorf("parseHello(%q) = %q, %d, %v; want %q, %d, %v",
+				c.line, id, pri, ok, c.id, c.pri, c.ok)
+		}
+	}
+}
+
+// FuzzParseHello: no hello line may panic the parser, and every accepted
+// line starts with the field "open" and yields an id free of whitespace.
+func FuzzParseHello(f *testing.F) {
+	for _, s := range []string{"open", "open id=a pri=3", "openx id=a", "open pri=x", ""} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		id, _, ok := parseHello(line)
+		if !ok {
+			return
+		}
+		if fs := strings.Fields(line); len(fs) == 0 || fs[0] != "open" {
+			t.Fatalf("accepted %q without a leading open field", line)
+		}
+		if strings.ContainsFunc(id, unicode.IsSpace) {
+			t.Fatalf("accepted %q with whitespace in id %q", line, id)
+		}
+	})
 }

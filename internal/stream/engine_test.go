@@ -36,7 +36,7 @@ func TestEngineClassifierPosteriors(t *testing.T) {
 		t.Fatalf("posteriors sum to %g, want 1", sum)
 	}
 	// The argmax posterior must agree with the engine's integer argmax.
-	_, wantCls := e.Infer(x)
+	_, wantCls := e.InferInt(x)
 	best, bestP := 0, float32(-1)
 	for i, p := range probs {
 		if p > bestP {
