@@ -234,7 +234,7 @@ func BenchmarkEngineInferInt8(b *testing.B) {
 // overlapping windows — the steady-state streaming-session shape. Must
 // report 0 allocs/op (pinned by TestInferHopZeroAllocs and gated in ci.sh);
 // kws-bench gates its speedup over the full-window single-frame path.
-func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
+func benchEngineHop(b *testing.B, pol deploy.Policy) {
 	const hop = 12
 	const hops = 512
 	e := deploy.SyntheticEngine(9, 0.35)
@@ -248,9 +248,6 @@ func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
 		return strip[i*hop*int(e.Coeffs):][:int(e.Frames)*int(e.Coeffs)]
 	}
 	infer := e.InferHopInt
-	if float {
-		infer = e.InferHopFloat
-	}
 	hs := e.NewHopState()
 	defer hs.Release()
 	infer(hs, window(0), int(e.Frames)) // warm up: cold full recompute
@@ -269,9 +266,8 @@ func benchEngineHop(b *testing.B, pol deploy.Policy, float bool) {
 	}
 }
 
-func BenchmarkEngineInferHopFloat(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed, true) }
-func BenchmarkEngineInferHopMixed(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed, false) }
-func BenchmarkEngineInferHopInt8(b *testing.B)  { benchEngineHop(b, deploy.PolicyInt8, false) }
+func BenchmarkEngineInferHopMixed(b *testing.B) { benchEngineHop(b, deploy.PolicyMixed) }
+func BenchmarkEngineInferHopInt8(b *testing.B)  { benchEngineHop(b, deploy.PolicyInt8) }
 
 func BenchmarkEngineInferBatch(b *testing.B) {
 	const batch = 64

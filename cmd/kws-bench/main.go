@@ -112,7 +112,7 @@ type report struct {
 	HopFrames         int                `json:"hop_frames"`           // new frames per incremental hop
 	HopEffectiveMs    int                `json:"hop_effective_ms"`     // 250 ms snapped to the 20 ms stride grid
 	StreamSampleRate  int                `json:"stream_sample_rate"`   // rate of the streaming-pipeline rows
-	HopParity         bool               `json:"hop_parity_1000_hops"` // InferHop == full-window InferInt, both policies
+	HopParity         bool               `json:"hop_parity_1000_hops"` // InferHopInt == full-window InferInt, both policies
 	HopEngineSpeedups map[string]float64 `json:"hop_engine_speedup_by_policy"`
 	SpeedupHopVsFull  float64            `json:"speedup_hop_vs_full"` // streaming per-hop pipeline (featurise+infer), gated
 	CPUWarning        string             `json:"cpu_warning,omitempty"`
@@ -235,7 +235,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	}
 
 	rep := report{
-		Schema:    "kws-bench/v6",
+		Schema:    "kws-bench/v7",
 		Generated: time.Now().UTC().Format(time.RFC3339),
 		GoVersion: runtime.Version(),
 		GOOS:      runtime.GOOS,
@@ -249,10 +249,10 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		WorkerCounts:    workerCounts,
 		Reps:            reps,
 		ModelFileBytes:  e.Size(),
-		Note: "schema v6 drops layer_layouts, speedup_int8_vs_float_by_layout and the " +
-			"EngineInferInt8Forced* rows: every conv row now has one compiled form (the " +
-			"index-list runs walk), so there is no layout choice left to audit. " +
-			"EngineInferNaive times the NaiveInt scalar oracle. v5 carry-overs: " +
+		Note: "schema v7 drops the EngineInferHopFloat row and the float entry of " +
+			"hop_engine_speedup_by_policy: the hop cache runs the integer path only. " +
+			"v6 carry-overs: every conv row has one compiled form (the index-list runs " +
+			"walk) and EngineInferNaive times the NaiveInt scalar oracle. v5 carry-overs: " +
 			"EngineInferHop* time the engine's temporal-cache hop path (12 new frames per " +
 			"240 ms hop, 0 allocs), StreamHopFull/StreamHopIncremental time the whole " +
 			"per-hop streaming pipeline (MFCC featurisation + inference) at 16 kHz, and " +
@@ -379,23 +379,20 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.HopEffectiveMs = 240
 	hopRows := map[string]result{}
 	for _, pc := range []struct {
-		pol   deploy.Policy
-		name  string
-		float bool
+		pol  deploy.Policy
+		name string
 	}{
-		{deploy.PolicyMixed, "EngineInferHopFloat", true},
-		{deploy.PolicyMixed, "EngineInferHopMixed", false},
-		{deploy.PolicyInt8, "EngineInferHopInt8", false},
+		{deploy.PolicyMixed, "EngineInferHopMixed"},
+		{deploy.PolicyInt8, "EngineInferHopInt8"},
 	} {
 		e.Policy = pc.pol
-		r := benchHop(e, pc.float, hopFrames, reps)
+		r := benchHop(e, hopFrames, reps)
 		r.Name = pc.name
 		rep.Results = append(rep.Results, r)
 		hopRows[pc.name] = r
 	}
 	e.Policy = deploy.PolicyMixed
 	rep.HopEngineSpeedups = map[string]float64{
-		"float": flt.NsPerOp / hopRows["EngineInferHopFloat"].NsPerOp,
 		"mixed": mixed.NsPerOp / hopRows["EngineInferHopMixed"].NsPerOp,
 		"int8":  int8r.NsPerOp / hopRows["EngineInferHopInt8"].NsPerOp,
 	}
@@ -436,7 +433,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 
 	fail := false
 	allocRows := []result{mixed, int8r, batAt1[deploy.PolicyMixed], batAt1[deploy.PolicyInt8],
-		hopRows["EngineInferHopFloat"], hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"],
+		hopRows["EngineInferHopMixed"], hopRows["EngineInferHopInt8"],
 		streamInc}
 	for _, r := range allocRows {
 		if r.AllocsPerOp != 0 {
@@ -455,7 +452,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		fail = true
 	}
 	if !rep.HopParity {
-		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: InferHop disagrees with full-window InferInt")
+		fmt.Fprintln(os.Stderr, "kws-bench: REGRESSION: InferHopInt disagrees with full-window InferInt")
 		fail = true
 	}
 	if !rep.IntFloatParity {
@@ -509,7 +506,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 // strip of overlapping windows advanced hopFrames rows per call, with the
 // cache re-seeded (a full recompute) only when the strip wraps — 1/255 of
 // timed hops, matching a streaming session that almost never discontinues.
-func benchHop(e *deploy.Engine, float bool, hopFrames, reps int) result {
+func benchHop(e *deploy.Engine, hopFrames, reps int) result {
 	const hops = 256
 	rng := rand.New(rand.NewSource(17))
 	coeffs := int(e.Coeffs)
@@ -522,9 +519,6 @@ func benchHop(e *deploy.Engine, float bool, hopFrames, reps int) result {
 		return strip[i*hopFrames*coeffs:][:frames*coeffs]
 	}
 	infer := e.InferHopInt
-	if float {
-		infer = e.InferHopFloat
-	}
 	hs := e.NewHopState()
 	defer hs.Release()
 	infer(hs, window(0), frames) // warm up: cold full recompute

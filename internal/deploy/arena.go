@@ -1,16 +1,5 @@
 package deploy
 
-import "runtime"
-
-// parallelThreshold is the approximate number of gather-adds above which a
-// standard-conv stage shards its rows across goroutines — the same idiom as
-// internal/tensor's MatMul sharding, retuned for int8 adds.
-const parallelThreshold = 1 << 18
-
-// maxShardWorkers caps the extra goroutines one arena will spawn; beyond
-// this the shards are too small to amortise the dispatch.
-const maxShardWorkers = 8
-
 // arena holds every buffer one inference needs, sized once from the
 // engine's compiled shapes so the steady-state hot path performs zero heap
 // allocations. An arena is owned by exactly one goroutine at a time:
@@ -31,61 +20,14 @@ type arena struct {
 	out        []int32 // returned score slice
 	denseHid   []int16 // QDense hidden scratch (max R over tree denses)
 	xPad       []byte  // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
-
-	// Shard worker pool, started lazily on the first large-enough conv
-	// stage. Workers reference only the channels, so a dropped arena is
-	// collectable; its finalizer closes work and the workers exit.
-	workers int // extra goroutines available for row sharding (0 = serial)
-	work    chan shardJob
-	done    chan struct{}
-}
-
-// shardJob is one row range of a standard-conv stage. It is passed by value
-// through a buffered channel, so dispatching shards allocates nothing. acc
-// and lanes are indexed by absolute row, so shards of one stage share the
-// buffers without overlapping.
-type shardJob struct {
-	q       *QConv
-	stage   uint8
-	cols    []int8
-	hidden  []int16
-	hidden8 []int8
-	acc     []int32
-	out     []int8
-	nOut    int
-	ps      int // im2col plane stride (hidden stages)
-	os      int // output channel stride (out stages)
-	lo, hi  int
-}
-
-const (
-	stageHidden  uint8 = 1 // Wb × im2col → int16 hidden planes (mixed)
-	stageOut     uint8 = 2 // Wc × hidden16 → requantised output (mixed)
-	stageHidden8 uint8 = 3 // Wb × im2col → int8 hidden planes (PolicyInt8)
-	stageOut8    uint8 = 4 // Wc × hidden8 → requantised output (PolicyInt8)
-)
-
-func (j shardJob) run() {
-	switch j.stage {
-	case stageHidden:
-		j.q.stdHiddenRows(j.cols, j.hidden, j.acc, j.nOut, j.ps, j.lo, j.hi)
-	case stageOut:
-		j.q.stdOutRows(j.hidden, j.acc, j.out, j.nOut, j.os, j.lo, j.hi)
-	case stageHidden8:
-		j.q.stdHiddenRows8(j.cols, j.hidden8, j.acc, j.nOut, j.ps, j.lo, j.hi)
-	case stageOut8:
-		j.q.stdOutRows8(j.hidden8, j.acc, j.out, j.nOut, j.os, j.lo, j.hi)
-	}
 }
 
 // newArena sizes every buffer from the engine's compiled shapes, walking
-// the conv chain exactly as Validate does. parallel enables the shard
-// worker pool when any stage's gather work crosses parallelThreshold;
-// batch arenas pass false (parallelism there is across frames).
-func newArena(e *Engine, parallel bool) *arena {
+// the conv chain exactly as Validate does.
+func newArena(e *Engine) *arena {
 	h, w := int(e.Frames), int(e.Coeffs)
 	maxImg := h * w
-	var maxCols, maxHidden, maxAcc, maxWork int
+	var maxCols, maxHidden, maxAcc int
 	for _, q := range e.Convs {
 		oh, ow := q.outSize(h, w)
 		nOut := oh * ow
@@ -115,12 +57,6 @@ func newArena(e *Engine, parallel bool) *arena {
 			}
 			if acc := rows * pa; acc > maxAcc {
 				maxAcc = acc
-			}
-			if wk := len(q.wbSp.idx) * nOut; wk > maxWork {
-				maxWork = wk
-			}
-			if wk := len(q.wcSp.idx) * nOut; wk > maxWork {
-				maxWork = wk
 			}
 		case kindDepthwise:
 			if acc := 2 * pa; acc > maxAcc {
@@ -175,14 +111,6 @@ func newArena(e *Engine, parallel bool) *arena {
 	} else {
 		a.hidden = make([]int16, maxHidden)
 	}
-	if parallel && maxWork >= parallelThreshold {
-		if n := runtime.GOMAXPROCS(0) - 1; n > 0 {
-			if n > maxShardWorkers {
-				n = maxShardWorkers
-			}
-			a.workers = n
-		}
-	}
 	return a
 }
 
@@ -196,55 +124,4 @@ func (a *arena) bytes() int64 {
 	n += 4 * (len(a.acc) + len(a.out))
 	n += 8 * len(a.scores)
 	return int64(n)
-}
-
-// ensureWorkers starts the persistent shard goroutines on first use. They
-// hold only the channels (never the arena), so once the arena is garbage
-// the finalizer closes work and the pool unwinds.
-func (a *arena) ensureWorkers() {
-	if a.work != nil {
-		return
-	}
-	a.work = make(chan shardJob, a.workers)
-	a.done = make(chan struct{}, a.workers)
-	for i := 0; i < a.workers; i++ {
-		go shardWorker(a.work, a.done)
-	}
-	runtime.SetFinalizer(a, func(a *arena) { close(a.work) })
-}
-
-func shardWorker(work chan shardJob, done chan struct{}) {
-	for j := range work {
-		j.run()
-		done <- struct{}{}
-	}
-}
-
-// runShards splits rows [0,n) across the worker pool plus the calling
-// goroutine, blocking until every shard finishes. No allocation: jobs are
-// channel values, the caller runs the first shard itself.
-func (a *arena) runShards(job shardJob, n int) {
-	a.ensureWorkers()
-	parts := a.workers + 1
-	chunk := (n + parts - 1) / parts
-	sent := 0
-	for lo := chunk; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		j := job
-		j.lo, j.hi = lo, hi
-		a.work <- j
-		sent++
-	}
-	job.lo = 0
-	job.hi = chunk
-	if job.hi > n {
-		job.hi = n
-	}
-	job.run()
-	for i := 0; i < sent; i++ {
-		<-a.done
-	}
 }

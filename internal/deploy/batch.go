@@ -36,8 +36,7 @@ func batchLaneWorker(work chan laneJob) {
 
 // ensureBatchWorkers starts the persistent lane workers on first parallel
 // batch. Workers hold only the channel (never the engine), so once the
-// engine is garbage its finalizer closes work and the pool unwinds — the
-// same lifecycle idiom as the arena's shard workers.
+// engine is garbage its finalizer closes work and the pool unwinds.
 func (e *Engine) ensureBatchWorkers() {
 	e.batchOnce.Do(func() {
 		e.batchWork = make(chan laneJob, maxBatchWorkers)
@@ -51,11 +50,11 @@ func (e *Engine) ensureBatchWorkers() {
 
 // InferBatch classifies many MFCC frames, amortising dispatch for streaming
 // and serving callers. Frames are packed eight per frame-major lane (see
-// lane.go) so each decoded ±1 run and each span sweep covers the whole lane;
-// lanes are spread over up to GOMAXPROCS workers from a persistent pool.
-// Per-frame faults (wrong input length, a recovered panic) land in that
-// frame's Err instead of failing the batch. Unlike InferInt, the returned
-// score slices are caller-owned copies.
+// lane.go) so each decoded ±1 run covers the whole lane; lanes are spread
+// over up to GOMAXPROCS workers from a persistent pool. Per-frame faults
+// (wrong input length, a recovered panic) land in that frame's Err instead
+// of failing the batch. Unlike InferInt, the returned score slices are
+// caller-owned copies.
 //
 // InferBatch is safe for concurrent use, including concurrently with other
 // InferBatch calls on the same engine.
@@ -175,14 +174,13 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 }
 
 // getArena checks a scratch arena out of the pool, building one on first
-// use. Batch arenas never start shard workers — batch parallelism is across
-// frames, not within a conv stage. Pooled arenas sized for a different
-// policy are dropped (the pool refills at the current one).
+// use. Pooled arenas sized for a different policy are dropped (the pool
+// refills at the current one).
 func (e *Engine) getArena() *arena {
 	if a, ok := e.arenas.Get().(*arena); ok && a.pol == e.Policy {
 		return a
 	}
-	a := newArena(e, false)
+	a := newArena(e)
 	e.obs.noteArena(a)
 	return a
 }

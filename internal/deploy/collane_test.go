@@ -42,10 +42,10 @@ func ternaryRows(rng *rand.Rand, rows, taps int, density float64) []int8 {
 	return w
 }
 
-// TestGatherRowLayoutsProperty drives both row walks — the index-list runs
-// walk every conv row takes and the coalesced span walk of the lane tree
-// projection — over randomized shapes and densities and checks each against
-// the scalar oracle on every column including the pads. The sweep
+// TestGatherRowLayoutsProperty drives the index-list runs walk — the one
+// row walk every conv row and the lane tree projection take — over
+// randomized shapes and densities and checks it against the scalar oracle
+// on every column including the pads. The sweep
 // deliberately crosses the edge cases: all-zero rows, full-density rows,
 // tap counts past the 256-plane chunk budget, and ragged column counts that
 // force a padded stride.
@@ -63,7 +63,6 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 
 		w := ternaryRows(rng, rows, taps, density)
 		sp := compileRows(w, rows, taps)
-		span := compileSpanRows(sp, rows)
 
 		cols := make([]int8, taps*stride)
 		for i := range cols {
@@ -77,17 +76,11 @@ func TestGatherRowLayoutsProperty(t *testing.T) {
 
 			runs := make([]int32, stride)
 			gatherPlanesI8W(runs, colsB, plus, minus, stride)
-			spans := make([]int32, stride)
-			gatherLaneI8(spans, colsB, span.chunks[r], stride)
 
 			for j := 0; j < stride; j++ {
 				if runs[j] != want[j] {
 					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): runs[%d]=%d, want %d",
 						trial, r, taps, nOut, density, j, runs[j], want[j])
-				}
-				if spans[j] != want[j] {
-					t.Fatalf("trial %d row %d (taps=%d cols=%d d=%.2f): spans[%d]=%d, want %d",
-						trial, r, taps, nOut, density, j, spans[j], want[j])
 				}
 			}
 		}
@@ -176,8 +169,8 @@ func TestDWTapWord(t *testing.T) {
 
 // TestBatchLanePathWithTelemetry is the regression test for the batch
 // telemetry demotion: attaching an observer must keep InferBatch on the lane
-// path (counted lanes, frames and span sweeps) and stay bit-identical to the
-// unobserved engine.
+// path (counted lanes and frames) and stay bit-identical to the unobserved
+// engine.
 func TestBatchLanePathWithTelemetry(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e := deployTestEngine(53)
@@ -219,21 +212,6 @@ func TestBatchLanePathWithTelemetry(t *testing.T) {
 		}
 		if got := obs.LaneFrames.Value(); got != laneFrames {
 			t.Fatalf("pol %v: %d frames on the lane path, want %d", pol, got, laneFrames)
-		}
-		// The tree projection's Wb is the lane path's only span gather, so
-		// each lane decodes exactly its span sweeps.
-		var sweeps int64
-		for _, chs := range e.Tree.Z.wbSpan.chunks {
-			for _, ch := range chs {
-				sweeps += int64(len(ch.plus) + len(ch.minus))
-			}
-		}
-		if sweeps == 0 {
-			t.Fatalf("pol %v: test engine's tree projection has no spans", pol)
-		}
-		lanes := obs.LaneLanes.Value()
-		if got := obs.Spans.Value(); got != lanes*sweeps {
-			t.Fatalf("pol %v: %d span sweeps counted, want %d lanes × %d", pol, got, lanes, sweeps)
 		}
 	}
 }

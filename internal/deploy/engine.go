@@ -283,8 +283,7 @@ type QDense struct {
 
 	wb, wc     []int8
 	wbSp, wcSp sparseRows
-	wbBits     bitRows  // word-packed Wb bitplanes (hot path, kernels.go)
-	wbSpan     spanRows // span-coalesced Wb rows for the lane projection
+	wbBits     bitRows // word-packed Wb bitplanes (hot path, kernels.go)
 }
 
 func (q *QDense) unpack() {
@@ -440,12 +439,12 @@ type Engine struct {
 	// the operative constants.
 	Calib []CalibEntry
 
-	compileOnce sync.Once   // guards kernel compilation
-	arena       *arena      // resident arena for InferInt/InferSafe
-	arenas      sync.Pool   // spare arenas for the per-frame batch fallback
-	laneArenas  sync.Pool   // spare frame-major lane arenas (lane.go)
-	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
-	farena      *floatArena // resident scratch for InferFloat
+	compileOnce sync.Once       // guards kernel compilation
+	arena       *arena          // resident arena for InferInt/InferSafe
+	arenas      sync.Pool       // spare arenas for the per-frame batch fallback
+	laneArenas  chan *laneArena // spare frame-major lane arenas (lane.go)
+	hopStates   sync.Pool       // released HopStates for streaming sessions (hop.go)
+	farena      *floatArena     // resident scratch for InferFloat
 
 	// Persistent batch worker pool (batch.go): fixed-size, started lazily on
 	// the first parallel InferBatch; lanes are dispatched to it by value so
@@ -460,10 +459,11 @@ type Engine struct {
 	obs *Observer
 }
 
-// ensureCompiled builds the sparse kernels exactly once. Safe to call from
-// concurrent InferBatch entry points.
+// ensureCompiled builds the sparse kernels (and the lane-arena free list)
+// exactly once. Safe to call from concurrent InferBatch entry points.
 func (e *Engine) ensureCompiled() {
 	e.compileOnce.Do(func() {
+		e.laneArenas = make(chan *laneArena, maxBatchWorkers)
 		h, w := int(e.Frames), int(e.Coeffs)
 		for _, q := range e.Convs {
 			q.compileKernels()
@@ -571,7 +571,7 @@ func (e *Engine) NaiveInt(x []float32) (scores []int32, class int) {
 func (e *Engine) inferInt(x []float32) ([]int32, int) {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e, true)
+		e.arena = newArena(e)
 		e.obs.noteArena(e.arena)
 	}
 	return e.inferArena(e.arena, x, e.Policy)
@@ -662,7 +662,7 @@ func (e *Engine) MeasuredDensity() float64 {
 func (e *Engine) ScratchBytes() int64 {
 	e.ensureCompiled()
 	if e.arena == nil || e.arena.pol != e.Policy {
-		e.arena = newArena(e, true)
+		e.arena = newArena(e)
 		e.obs.noteArena(e.arena)
 	}
 	return e.arena.bytes()

@@ -10,7 +10,7 @@ import (
 
 // hopStream generates a stream of overlapping windows sharing storage: one
 // long feature strip where window i is strip[i·hop·coeffs:][:frames·coeffs],
-// so consecutive windows satisfy the InferHop caller contract by
+// so consecutive windows satisfy the InferHopInt caller contract by
 // construction.
 type hopStream struct {
 	strip          []float32
@@ -89,41 +89,6 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 	}
 }
 
-// TestInferHopFloatMatchesFullStream pins the float hop path against
-// full-window InferFloat the same way.
-func TestInferHopFloatMatchesFullStream(t *testing.T) {
-	const hop = 12
-	hops := 300
-	if testing.Short() {
-		hops = 60
-	}
-	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
-		e := SyntheticEngine(21, 0.35)
-		e.Policy = pol
-		rng := rand.New(rand.NewSource(78))
-		s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, hops)
-		hs := e.NewHopState()
-		for i := 0; i < hops; i++ {
-			x := s.window(i)
-			nNew := hop
-			if i == 0 {
-				nNew = int(e.Frames)
-			}
-			gotSc, gotCls := e.InferHopFloat(hs, x, nNew)
-			wantSc, wantCls := e.InferFloat(x)
-			if gotCls != wantCls {
-				t.Fatalf("pol %v hop %d: class %d vs full %d", pol, i, gotCls, wantCls)
-			}
-			for j := range wantSc {
-				if gotSc[j] != wantSc[j] {
-					t.Fatalf("pol %v hop %d: score[%d]=%d vs full %d", pol, i, j, gotSc[j], wantSc[j])
-				}
-			}
-		}
-		hs.Release()
-	}
-}
-
 // TestInferHopProperty sweeps random engine shapes, random (including
 // ragged and oversized) hop sizes, cold restarts, invalidations and policy
 // flips: every hop must stay bit-exact with the full-window path at the
@@ -142,7 +107,6 @@ func TestInferHopProperty(t *testing.T) {
 		for i := range win {
 			win[i] = float32(rng.NormFloat64())
 		}
-		useFloat := seed%3 == 2
 		for hop := 0; hop < 60; hop++ {
 			switch rng.Intn(10) {
 			case 0:
@@ -166,23 +130,16 @@ func TestInferHopProperty(t *testing.T) {
 			for i := range tail {
 				tail[i] = float32(rng.NormFloat64())
 			}
-			var gotSc, wantSc []int32
-			var gotCls, wantCls int
-			if useFloat {
-				gotSc, gotCls = e.InferHopFloat(hs, win, nNew)
-				wantSc, wantCls = e.InferFloat(win)
-			} else {
-				gotSc, gotCls = e.InferHopInt(hs, win, nNew)
-				wantSc, wantCls = e.InferInt(win)
-			}
+			gotSc, gotCls := e.InferHopInt(hs, win, nNew)
+			wantSc, wantCls := e.InferInt(win)
 			if gotCls != wantCls {
-				t.Fatalf("seed %d hop %d (nNew=%d pol=%v float=%v): class %d vs full %d",
-					seed, hop, nNew, e.Policy, useFloat, gotCls, wantCls)
+				t.Fatalf("seed %d hop %d (nNew=%d pol=%v): class %d vs full %d",
+					seed, hop, nNew, e.Policy, gotCls, wantCls)
 			}
 			for j := range wantSc {
 				if gotSc[j] != wantSc[j] {
-					t.Fatalf("seed %d hop %d (nNew=%d pol=%v float=%v): score[%d]=%d vs full %d",
-						seed, hop, nNew, e.Policy, useFloat, j, gotSc[j], wantSc[j])
+					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs full %d",
+						seed, hop, nNew, e.Policy, j, gotSc[j], wantSc[j])
 				}
 			}
 		}
@@ -191,17 +148,15 @@ func TestInferHopProperty(t *testing.T) {
 }
 
 // TestInferHopZeroAllocs pins the steady-state hop path at zero allocations
-// for both integer policies and the float simulation.
+// under both integer policies.
 func TestInferHopZeroAllocs(t *testing.T) {
 	const hop = 12
 	for _, tc := range []struct {
-		name  string
-		pol   Policy
-		float bool
+		name string
+		pol  Policy
 	}{
-		{"mixed", PolicyMixed, false},
-		{"int8", PolicyInt8, false},
-		{"float", PolicyMixed, true},
+		{"mixed", PolicyMixed},
+		{"int8", PolicyInt8},
 	} {
 		e := SyntheticEngine(9, 0.35)
 		e.Policy = tc.pol
@@ -209,9 +164,6 @@ func TestInferHopZeroAllocs(t *testing.T) {
 		s := newHopStream(rng, int(e.Frames), int(e.Coeffs), hop, 64)
 		hs := e.NewHopState()
 		infer := e.InferHopInt
-		if tc.float {
-			infer = e.InferHopFloat
-		}
 		infer(hs, s.window(0), int(e.Frames)) // warm up: cold full recompute
 		i := 1
 		allocs := testing.AllocsPerRun(40, func() {
@@ -242,7 +194,7 @@ func TestInferHopStateReuse(t *testing.T) {
 
 	e.Policy = PolicyInt8
 	hs2 := e.NewHopState()
-	if hs2.intValid {
+	if hs2.valid {
 		t.Fatal("pooled hop state came back with a valid cache")
 	}
 	got, _ := e.InferHopInt(hs2, s.window(1), 12)

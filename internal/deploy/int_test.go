@@ -33,8 +33,7 @@ func TestGatherWordPackedMatchesScalar(t *testing.T) {
 				minus = append(minus, int32(p))
 			}
 		}
-		want := make([]int32, nOut)
-		gatherI8(want, planes, plus, minus, nOut)
+		want := oracleGather(planes, plus, minus, nOut)
 		got := make([]int32, nOut)
 		gatherPlanesI8W(got, i8Bytes(planes), plus, minus, nOut)
 		for j := range want {

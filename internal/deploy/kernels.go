@@ -14,8 +14,7 @@ package deploy
 // sparseRows is a compiled ternary matrix: one flat index array holding, per
 // row, the run of +1 column indices followed by the run of −1 column
 // indices. Row r's runs are idx[off[2r]:off[2r+1]] (plus) and
-// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count,
-// which doubles as the work estimate for the parallel-sharding decision.
+// idx[off[2r+1]:off[2r+2]] (minus). len(idx) is the matrix's nonzero count.
 type sparseRows struct {
 	idx []int32
 	off []int32
@@ -75,11 +74,10 @@ func (q *QDense) compileKernels() {
 	q.wbSp = compileRows(q.wb, int(q.R), int(q.In))
 	q.wcSp = compileRows(q.wc, int(q.Out), int(q.R))
 	// Wb reads int8 activations, so it also compiles to bitplane words for
-	// the word-packed matvec (bitplane.go) and to span form for the lane
-	// projection (lane.go). Wc reads the int16 hidden vector and keeps the
+	// the word-packed matvec (bitplane.go); the lane projection (lane.go)
+	// walks its index lists. Wc reads the int16 hidden vector and keeps the
 	// index-gather form.
 	q.wbBits = compileBitRows(q.wb, int(q.R), int(q.In))
-	q.wbSpan = compileSpanRows(q.wbSp, int(q.R))
 }
 
 func (t *QTree) compileKernels() {
@@ -203,130 +201,29 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 // hidden planes (int16 mixed, int8 under PolicyInt8), then a ternary 1×1
 // combine with per-channel requantisation. ps is the im2col plane stride,
 // outStride the output channel stride; the hidden planes always live at the
-// padded stride pad8(nOut). Both stages shard their rows across the arena's
-// workers when the gather work is large enough.
+// padded stride pad8(nOut).
 func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, pol Policy) {
-	r, cout := int(q.R), int(q.Cout)
 	pa := pad8(nOut)
 	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:r*pa]
-		if a.workers > 0 && len(q.wbSp.idx)*nOut >= parallelThreshold {
-			a.runShards(shardJob{q: q, stage: stageHidden8, cols: cols, hidden8: hidden8, acc: a.acc, nOut: nOut, ps: ps}, r)
-		} else {
-			q.stdHiddenRows8(cols, hidden8, a.acc, nOut, ps, 0, r)
-		}
-		if a.workers > 0 && len(q.wcSp.idx)*nOut >= parallelThreshold {
-			a.runShards(shardJob{q: q, stage: stageOut8, hidden8: hidden8, acc: a.acc, out: out, nOut: nOut, os: outStride}, cout)
-		} else {
-			q.stdOutRows8(hidden8, a.acc, out, nOut, outStride, 0, cout)
-		}
+		hidden8 := a.hidden8[:int(q.R)*pa]
+		q.stdHiddenRows8(cols, hidden8, a.acc, nOut, ps)
+		q.stdOutRows8(hidden8, a.acc, out, nOut, outStride)
 		return
 	}
-	hidden := a.hidden[:r*pa]
-	if a.workers > 0 && len(q.wbSp.idx)*nOut >= parallelThreshold {
-		a.runShards(shardJob{q: q, stage: stageHidden, cols: cols, hidden: hidden, acc: a.acc, nOut: nOut, ps: ps}, r)
-	} else {
-		q.stdHiddenRows(cols, hidden, a.acc, nOut, ps, 0, r)
-	}
-	if a.workers > 0 && len(q.wcSp.idx)*nOut >= parallelThreshold {
-		a.runShards(shardJob{q: q, stage: stageOut, hidden: hidden, acc: a.acc, out: out, nOut: nOut, os: outStride}, cout)
-	} else {
-		q.stdOutRows(hidden, a.acc, out, nOut, outStride, 0, cout)
-	}
+	hidden := a.hidden[:int(q.R)*pa]
+	q.stdHiddenRows(cols, hidden, a.acc, nOut, ps)
+	q.stdOutRows(hidden, a.acc, out, nOut, outStride)
 }
 
-// gatherI8 accumulates the ternary combination of int8 planes selected by
-// the plus/minus index runs into acc. The first plane is assigned rather
-// than added, so acc needs no zeroing pass; an empty row zeroes it instead.
-// Remaining planes are folded up to eight at a time — the partial sum of
-// eight int8 values cannot wrap an int32, and int32 addition is associative
-// mod 2³², so the result stays bit-identical to one-at-a-time accumulation
-// while acc is loaded and stored an eighth as often. All slices are
-// resliced to exactly nOut so the inner loops bounds-check once, not per
-// element.
-//
-// The hot path now uses the word-packed gatherPlanesI8W (bitplane.go);
-// gatherI8 is retained as its scalar oracle for the kernel-level property
-// tests.
-func gatherI8(acc []int32, cols []int8, plus, minus []int32, nOut int) {
-	acc = acc[:nOut]
-	switch {
-	case len(plus) > 0:
-		src := cols[int(plus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = int32(v)
-		}
-		addPlanesI8(acc, cols, plus[1:], nOut, 1)
-		addPlanesI8(acc, cols, minus, nOut, -1)
-	case len(minus) > 0:
-		src := cols[int(minus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = -int32(v)
-		}
-		addPlanesI8(acc, cols, minus[1:], nOut, -1)
-	default:
-		for j := range acc {
-			acc[j] = 0
-		}
-	}
-}
-
-// addPlanesI8 adds (sign +1) or subtracts (sign −1) the selected int8
-// planes into acc, up to eight planes per pass.
-func addPlanesI8(acc []int32, cols []int8, idx []int32, nOut int, sign int32) {
-	k := 0
-	for ; k+7 < len(idx); k += 8 {
-		s1 := cols[int(idx[k])*nOut:][:nOut]
-		s2 := cols[int(idx[k+1])*nOut:][:nOut]
-		s3 := cols[int(idx[k+2])*nOut:][:nOut]
-		s4 := cols[int(idx[k+3])*nOut:][:nOut]
-		s5 := cols[int(idx[k+4])*nOut:][:nOut]
-		s6 := cols[int(idx[k+5])*nOut:][:nOut]
-		s7 := cols[int(idx[k+6])*nOut:][:nOut]
-		s8 := cols[int(idx[k+7])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		}
-	}
-	for ; k+3 < len(idx); k += 4 {
-		s1 := cols[int(idx[k])*nOut:][:nOut]
-		s2 := cols[int(idx[k+1])*nOut:][:nOut]
-		s3 := cols[int(idx[k+2])*nOut:][:nOut]
-		s4 := cols[int(idx[k+3])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		}
-	}
-	for ; k < len(idx); k++ {
-		src := cols[int(idx[k])*nOut:][:nOut]
-		if sign > 0 {
-			for j, v := range src {
-				acc[j] += int32(v)
-			}
-		} else {
-			for j, v := range src {
-				acc[j] -= int32(v)
-			}
-		}
-	}
-}
-
-// gatherI16 is gatherI8 over int16 planes (the hidden layer); eight int16
-// values likewise cannot wrap an int32 partial sum.
+// gatherI16 accumulates the ternary combination of int16 planes (the
+// hidden layer) selected by the plus/minus index runs into acc. The first
+// plane is assigned rather than added, so acc needs no zeroing pass; an
+// empty row zeroes it instead. Remaining planes are folded up to eight at a
+// time — the partial sum of eight int16 values cannot wrap an int32, and
+// int32 addition is associative mod 2³², so the result stays bit-identical
+// to one-at-a-time accumulation while acc is loaded and stored an eighth as
+// often. All slices are resliced to exactly nOut so the inner loops
+// bounds-check once, not per element.
 func gatherI16(acc []int32, planes []int16, plus, minus []int32, nOut int) {
 	acc = acc[:nOut]
 	switch {
@@ -404,16 +301,15 @@ func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32
 	}
 }
 
-// stdHiddenRows computes hidden rows [lo,hi): each row gathers its +/−
-// im2col planes (at plane stride ps, through the index-list runs walk) into a
-// private int32 accumulator slot, then rescales to int16 through the
-// per-hidden-unit fixed-point multiplier. Accumulator slots and hidden
-// planes are indexed by row at the padded stride, so sharded workers never
-// touch the same slots.
-func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut, ps, lo, hi int) {
+// stdHiddenRows computes every hidden row: each row gathers its +/−
+// im2col planes (at plane stride ps, through the index-list runs walk) into
+// its accumulator slot, then rescales to int16 through the per-hidden-unit
+// fixed-point multiplier. Accumulator slots and hidden planes are indexed by
+// row at the padded stride.
+func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < int(q.R); i++ {
 		acc := accBuf[i*pa:][:pa]
 		q.hidRowQ16(i, hidden[i*pa:][:nOut], acc, colsB, ps)
 	}
@@ -421,22 +317,22 @@ func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut,
 
 // stdHiddenRows8 is stdHiddenRows under PolicyInt8: the hidden planes are
 // stored int8 through the derived hidMul8 requantiser.
-func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, accBuf []int32, nOut, ps, lo, hi int) {
+func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, accBuf []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < int(q.R); i++ {
 		acc := accBuf[i*pa:][:pa]
 		q.hidRowQ8(i, hidden8[i*pa:][:nOut], acc, colsB, ps)
 	}
 }
 
-// stdOutRows computes output channels [lo,hi) from the int16 hidden planes
+// stdOutRows computes every output channel from the int16 hidden planes
 // (mixed policy). int16 planes gain little from byte-lane packing at these
 // widths, so this stage keeps the unrolled index gather — at the padded
 // hidden stride, so the pad columns ride along as inert garbage.
-func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os, lo, hi int) {
+func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os int) {
 	pa := pad8(nOut)
-	for c := lo; c < hi; c++ {
+	for c := 0; c < int(q.Cout); c++ {
 		acc := accBuf[c*pa:][:pa]
 		plus, minus := q.wcSp.row(c)
 		gatherI16(acc, hidden, plus, minus, pa)
@@ -444,13 +340,13 @@ func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os,
 	}
 }
 
-// stdOutRows8 computes output channels [lo,hi) from int8 hidden planes
+// stdOutRows8 computes every output channel from int8 hidden planes
 // (PolicyInt8) through the index-list runs walk; only the real nOut columns
 // are written to out.
-func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os, lo, hi int) {
+func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os int) {
 	hidB := i8Bytes(hidden8)
 	pa := pad8(nOut)
-	for c := lo; c < hi; c++ {
+	for c := 0; c < int(q.Cout); c++ {
 		acc := accBuf[c*pa:][:pa]
 		q.outRowQ8(c, out[c*os:][:nOut], acc, hidB, pa)
 	}

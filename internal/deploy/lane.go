@@ -6,8 +6,8 @@ package deploy
 // frame per 64-bit word, so a batch re-decodes every ±1 run and re-loads
 // every plane base once per frame. The lane kernels flip the layout: element
 // i of frame f lives at i·8+f, so one 64-bit word carries the *same*
-// activation index across 8 frames and each decoded run — and each strided
-// span sweep compiled by span.go — is amortised over the whole lane.
+// activation index across 8 frames and each decoded run is amortised over
+// the whole lane.
 //
 // The lane pipeline is the single-frame pipeline with every spatial position
 // widened 8×: a conv stage over nOut positions becomes the same kernel over
@@ -29,7 +29,6 @@ package deploy
 // lane_test.go.
 
 import (
-	"encoding/binary"
 	"math"
 	"time"
 
@@ -44,108 +43,11 @@ const laneFrames = 8
 // padded slots outnumber the real frames and the per-frame scalar path wins.
 const laneMinFrames = 5
 
-// gatherLaneI8 accumulates the ternary plane combination of frame-major lane
-// storage: acc[g·8+f] = Σ₊ cols[(p·laneW)+(g·8+f)] − Σ₋ …, for all positions
-// g and lane slots f. cols is the byte view of the int8 lane planes (plane
-// stride laneW = nOut·8). chunks is the row's span-coalesced form: per
-// chunk, contiguous plane spans are swept with one strided pointer walk
-// (off += laneW), the SWAR lanes fold once, and the precomputed bias
-// correction is subtracted. laneW is a multiple of 8 by construction, so
-// unlike gatherPlanesI8W there is never a scalar tail.
-func gatherLaneI8(acc []int32, cols []byte, chunks []laneChunk, laneW int) {
-	nG := laneW >> 3
-	acc = acc[:laneW]
-	if len(chunks) == 0 {
-		for j := range acc {
-			acc[j] = 0
-		}
-		return
-	}
-	for ci := range chunks {
-		ch := &chunks[ci]
-		first := ci == 0
-		corr := ch.corr
-		g := 0
-		for ; g+3 < nG; g += 4 {
-			base := g << 3
-			var e0, o0, e1, o1, e2, o2, e3, o3 uint64
-			for _, sp := range ch.plus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					// One 32-byte subslice bounds the strip; the compiler
-					// proves the constant-offset loads and drops their
-					// checks.
-					src := cols[off : off+32]
-					w0 := binary.LittleEndian.Uint64(src) ^ biasI8
-					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8
-					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8
-					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8
-					e0 += w0 & laneMaskE8
-					o0 += (w0 >> 8) & laneMaskE8
-					e1 += w1 & laneMaskE8
-					o1 += (w1 >> 8) & laneMaskE8
-					e2 += w2 & laneMaskE8
-					o2 += (w2 >> 8) & laneMaskE8
-					e3 += w3 & laneMaskE8
-					o3 += (w3 >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			for _, sp := range ch.minus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					src := cols[off : off+32]
-					w0 := binary.LittleEndian.Uint64(src) ^ biasI8Neg
-					w1 := binary.LittleEndian.Uint64(src[8:16]) ^ biasI8Neg
-					w2 := binary.LittleEndian.Uint64(src[16:24]) ^ biasI8Neg
-					w3 := binary.LittleEndian.Uint64(src[24:32]) ^ biasI8Neg
-					e0 += w0 & laneMaskE8
-					o0 += (w0 >> 8) & laneMaskE8
-					e1 += w1 & laneMaskE8
-					o1 += (w1 >> 8) & laneMaskE8
-					e2 += w2 & laneMaskE8
-					o2 += (w2 >> 8) & laneMaskE8
-					e3 += w3 & laneMaskE8
-					o3 += (w3 >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			spreadLanes(acc[base:], e0, o0, corr, first)
-			spreadLanes(acc[base+8:], e1, o1, corr, first)
-			spreadLanes(acc[base+16:], e2, o2, corr, first)
-			spreadLanes(acc[base+24:], e3, o3, corr, first)
-		}
-		for ; g < nG; g++ {
-			base := g << 3
-			var ev, od uint64
-			for _, sp := range ch.plus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					w := binary.LittleEndian.Uint64(cols[off:]) ^ biasI8
-					ev += w & laneMaskE8
-					od += (w >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			for _, sp := range ch.minus {
-				off := int(sp.start)*laneW + base
-				for k := int32(0); k < sp.n; k++ {
-					w := binary.LittleEndian.Uint64(cols[off:]) ^ biasI8Neg
-					ev += w & laneMaskE8
-					od += (w >> 8) & laneMaskE8
-					off += laneW
-				}
-			}
-			spreadLanes(acc[base:], ev, od, corr, first)
-		}
-	}
-}
-
 // laneArena holds every buffer one lane (8 interleaved frames) needs, sized
 // once from the engine's compiled shapes like the single-frame arena so the
 // steady-state batch path performs zero heap allocations. A lane arena is
 // owned by exactly one goroutine at a time; InferBatch checks them out of
-// the engine's pool.
+// the engine's free list.
 type laneArena struct {
 	pol        Policy  // activation policy this arena was sized for
 	imgA, imgB []int8  // ping-pong lane activation planes (8× the frame size)
@@ -256,16 +158,30 @@ func (a *laneArena) bytes() int64 {
 	return int64(n)
 }
 
-// getLaneArena checks a lane arena out of the pool, building one on first
-// use; arenas sized for a stale policy are dropped.
+// getLaneArena checks a lane arena out of the engine's free list, building
+// one when the list is empty; arenas sized for a stale policy are dropped.
+// The free list is a bounded channel rather than a sync.Pool: a pool is
+// emptied by every second GC and misses across per-P slots, and each miss
+// rebuilds a whole lane arena, which broke the batch path's zero-allocation
+// steady state. It holds at most maxBatchWorkers arenas — one per lane that
+// can be in flight — and neither end ever blocks.
 func (e *Engine) getLaneArena() *laneArena {
-	if a, ok := e.laneArenas.Get().(*laneArena); ok && a.pol == e.Policy {
-		return a
+	select {
+	case a := <-e.laneArenas:
+		if a.pol == e.Policy {
+			return a
+		}
+	default:
 	}
 	return newLaneArena(e)
 }
 
-func (e *Engine) putLaneArena(a *laneArena) { e.laneArenas.Put(a) }
+func (e *Engine) putLaneArena(a *laneArena) {
+	select {
+	case e.laneArenas <- a:
+	default: // list full: drop the arena for the GC
+	}
+}
 
 // quantizeLane quantises up to 8 frames into the lane-interleaved input
 // image. Unused lane slots are zeroed so a ragged lane is deterministic (and
@@ -535,8 +451,9 @@ func poolLaneInto(dst []int8, img []int8, c, h, w, k, s int) (int, int) {
 }
 
 // forwardLane classifies the n real frames of a lane: the projection runs
-// frame-major (the span gather and the int16 combine amortise over all 8
-// slots), then each frame's data-dependent node walk untransposes its ẑ and
+// frame-major (the index-list gather and the int16 combine amortise over
+// all 8 slots; each plane is one 8-byte lane word, so the gather has no
+// scalar tail), then each frame's data-dependent node walk untransposes its ẑ and
 // runs on scalars, exactly as forwardInto does. Results land in dst,
 // reusing each slot's Scores storage.
 func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult) {
@@ -548,7 +465,8 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 	accL := a.acc[:laneFrames]
 	hidL := a.hidL[:r*laneFrames]
 	for i := 0; i < r; i++ {
-		gatherLaneI8(accL, xB, t.Z.wbSpan.chunks[i], laneFrames)
+		plus, minus := t.Z.wbSp.row(i)
+		gatherPlanesI8W(accL, xB, plus, minus, laneFrames)
 		m := t.Z.HidMul[i]
 		dstH := hidL[i*laneFrames:][:laneFrames]
 		for f, v := range accL {
@@ -664,7 +582,7 @@ func (e *Engine) laneInfer(xs [][]float32, dst []BatchResult) (ok bool) {
 // laneInferObserved is laneInfer's body with per-layer attribution, the lane
 // counterpart of inferArenaObserved: a span and a latency observation around
 // every stage (each covering all frames of the lane), the whole-lane latency
-// in InferNs, and the lane/frame/span work counters. Kept separate so the
+// in InferNs, and the lane and frame work counters. Kept separate so the
 // unobserved lane path retains its exact instruction stream.
 func (e *Engine) laneInferObserved(a *laneArena, xs [][]float32, dst []BatchResult) {
 	o := e.obs
@@ -702,6 +620,5 @@ func (e *Engine) laneInferObserved(a *laneArena, xs [][]float32, dst []BatchResu
 	o.Gathers.Add(o.gathersPerInfer * n)
 	o.LaneLanes.Inc()
 	o.LaneFrames.Add(n)
-	o.Spans.Add(o.spansPerLane)
 	root.End()
 }

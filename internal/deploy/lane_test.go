@@ -2,147 +2,10 @@ package deploy
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
-
-	"repro/internal/tensor"
 )
-
-// expandSpans flattens a row's chunked span form back into sorted index
-// lists, verifying per-chunk invariants along the way.
-func expandSpans(t *testing.T, chunks []laneChunk) (plus, minus []int32) {
-	t.Helper()
-	for ci, ch := range chunks {
-		var pc, mc int32
-		for _, sp := range ch.plus {
-			for k := int32(0); k < sp.n; k++ {
-				plus = append(plus, sp.start+k)
-			}
-			pc += sp.n
-		}
-		for _, sp := range ch.minus {
-			for k := int32(0); k < sp.n; k++ {
-				minus = append(minus, sp.start+k)
-			}
-			mc += sp.n
-		}
-		if pc+mc == 0 {
-			t.Fatalf("chunk %d is empty", ci)
-		}
-		if pc+mc > chunkPlanes8 {
-			t.Fatalf("chunk %d holds %d planes, budget %d", ci, pc+mc, chunkPlanes8)
-		}
-		if want := 128*pc + 127*mc; ch.corr != want {
-			t.Fatalf("chunk %d corr %d, want %d", ci, ch.corr, want)
-		}
-	}
-	return plus, minus
-}
-
-// TestCompileSpanRows pins the span-coalesced form against the index lists
-// it was compiled from: expanding every chunk must reproduce the exact +1
-// and −1 column sets, with fold budgets and bias corrections intact. Rows
-// mix isolated nonzeros with long forced runs so spans of length 1 through
-// >chunkPlanes8 all occur.
-func TestCompileSpanRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 30; trial++ {
-		rows := 1 + rng.Intn(4)
-		cols := 1 + rng.Intn(700)
-		w := make([]int8, rows*cols)
-		for r := 0; r < rows; r++ {
-			row := w[r*cols : (r+1)*cols]
-			for c := 0; c < cols; {
-				v := int8(rng.Intn(3) - 1)
-				run := 1
-				if rng.Intn(3) == 0 {
-					run += rng.Intn(400) // force long same-sign runs
-				}
-				for ; run > 0 && c < cols; run, c = run-1, c+1 {
-					row[c] = v
-				}
-			}
-		}
-		s := compileRows(w, rows, cols)
-		sr := compileSpanRows(s, rows)
-		for r := 0; r < rows; r++ {
-			wantPlus, wantMinus := s.row(r)
-			gotPlus, gotMinus := expandSpans(t, sr.chunks[r])
-			if len(gotPlus) != len(wantPlus) || len(gotMinus) != len(wantMinus) {
-				t.Fatalf("trial %d row %d: nnz (%d,%d), want (%d,%d)",
-					trial, r, len(gotPlus), len(gotMinus), len(wantPlus), len(wantMinus))
-			}
-			for i := range wantPlus {
-				if gotPlus[i] != wantPlus[i] {
-					t.Fatalf("trial %d row %d: plus[%d]=%d, want %d", trial, r, i, gotPlus[i], wantPlus[i])
-				}
-			}
-			for i := range wantMinus {
-				if gotMinus[i] != wantMinus[i] {
-					t.Fatalf("trial %d row %d: minus[%d]=%d, want %d", trial, r, i, gotMinus[i], wantMinus[i])
-				}
-			}
-		}
-	}
-}
-
-// TestGatherLaneMatchesScalar pins the frame-major span gather against the
-// scalar per-frame oracle: packing 8 random frames into lane layout and
-// running gatherLaneI8 must reproduce gatherI8 on each frame's planes, for
-// plane counts straddling the fold boundary and rows from empty to fully
-// dense.
-func TestGatherLaneMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	cases := []struct {
-		planes, nOut int
-		density      float64
-	}{
-		{5, 8, 0.5},
-		{40, 24, 0.3},
-		{300, 16, 0.6},
-		{600, 8, 0.9},
-		{12, 1, 0.5},
-		{257, 40, 1.0},
-		{64, 9, 0.0}, // empty row: must zero the accumulator
-	}
-	for _, tc := range cases {
-		w := make([]int8, tc.planes)
-		for i := range w {
-			if rng.Float64() < tc.density {
-				w[i] = int8(1 - 2*rng.Intn(2))
-			}
-		}
-		sp := compileRows(w, 1, tc.planes)
-		spans := compileSpanRows(sp, 1)
-		plus, minus := sp.row(0)
-
-		laneW := tc.nOut * laneFrames
-		frames := make([][]int8, laneFrames)
-		lane := make([]int8, tc.planes*laneW)
-		for f := range frames {
-			frames[f] = make([]int8, tc.planes*tc.nOut)
-			for i := range frames[f] {
-				frames[f][i] = int8(rng.Intn(256) - 128)
-			}
-			tensor.PackLanes8(lane, frames[f], f)
-		}
-		acc := make([]int32, laneW)
-		for i := range acc {
-			acc[i] = 123456 // stale garbage the gather must overwrite
-		}
-		gatherLaneI8(acc, i8Bytes(lane), spans.chunks[0], laneW)
-		ref := make([]int32, tc.nOut)
-		for f := 0; f < laneFrames; f++ {
-			gatherI8(ref, frames[f], plus, minus, tc.nOut)
-			for j := 0; j < tc.nOut; j++ {
-				if acc[j*laneFrames+f] != ref[j] {
-					t.Fatalf("planes=%d nOut=%d: frame %d pos %d: lane %d, scalar %d",
-						tc.planes, tc.nOut, f, j, acc[j*laneFrames+f], ref[j])
-				}
-			}
-		}
-	}
-}
 
 // TestInferBatchLaneMatchesPerFrame is the batch-path exactness property:
 // for randomized engine shapes and densities, every batch size (ragged
@@ -227,6 +90,49 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Fatalf("policy %v: InferBatchCappedInto allocated %.1f times per run, want 0", pol, allocs)
+		}
+		for i, r := range dst {
+			if r.Err != nil {
+				t.Fatalf("policy %v frame %d: %v", pol, i, r.Err)
+			}
+		}
+	}
+}
+
+// TestInferBatchZeroAllocsAcrossGC is the regression test for the flaky
+// batch 0-alloc gate: the lane arenas must survive garbage collections. Two
+// GCs empty a sync.Pool completely, so a pooled lane arena is rebuilt on
+// the next batch; the engine's bounded free list keeps it. The measured
+// call is the first after the collections, with no warm-up in between.
+func TestInferBatchZeroAllocsAcrossGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc counts are not meaningful under the race detector")
+	}
+	e := SyntheticEngine(3, 0.35)
+	const batch = 16
+	rng := rand.New(rand.NewSource(78))
+	xs := make([][]float32, batch)
+	for i := range xs {
+		x := make([]float32, e.Frames*e.Coeffs)
+		for j := range x {
+			x[j] = float32(rng.NormFloat64())
+		}
+		xs[i] = x
+	}
+	// One P, as in testing.AllocsPerRun, so no other goroutine's mallocs
+	// land in the measured window.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+		e.Policy = pol
+		dst := e.InferBatchCappedInto(nil, xs, 1) // warm: lane arena + Scores storage
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		dst = e.InferBatchCappedInto(dst, xs, 1)
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Fatalf("policy %v: InferBatchCappedInto after two GCs made %d mallocs, want 0", pol, n)
 		}
 		for i, r := range dst {
 			if r.Err != nil {

@@ -29,18 +29,16 @@ type Observer struct {
 	// lane pipeline, which feeds these.
 	LaneLanes  *telemetry.Counter // lane dispatches taken by InferBatch
 	LaneFrames *telemetry.Counter // frames classified on the lane path
-	Spans      *telemetry.Counter // span sweeps decoded by the lane tree projection
 
 	// Incremental hop-path accounting (hop.go). HopColumns is the number of
 	// conv output positions actually recomputed — against Infers·(total
 	// positions) it quantifies what temporal caching saves.
-	HopInfers  *telemetry.Counter // InferHop* calls completed
+	HopInfers  *telemetry.Counter // InferHopInt calls completed
 	HopFull    *telemetry.Counter // hops that fell back to a full recompute
 	HopColumns *telemetry.Counter // conv output positions recomputed by hops
 
 	tracer          *telemetry.Tracer
 	gathersPerInfer int64
-	spansPerLane    int64
 }
 
 // EnableTelemetry compiles the engine's kernels and attaches an observer
@@ -57,7 +55,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		ArenaBytes: reg.Gauge("engine.arena.bytes.highwater"),
 		LaneLanes:  reg.Counter("engine.lane.lanes"),
 		LaneFrames: reg.Counter("engine.lane.frames"),
-		Spans:      reg.Counter("engine.lane.spans"),
 		HopInfers:  reg.Counter("engine.hop.infers"),
 		HopFull:    reg.Counter("engine.hop.full_recomputes"),
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
@@ -81,22 +78,8 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		reg.LatencyHistogram("engine.pool.ns"),
 		reg.LatencyHistogram("engine.tree.ns"))
 	o.gathersPerInfer += e.Tree.gatherVisits()
-	o.spansPerLane = e.spansPerLane()
 	e.obs = o
 	return o
-}
-
-// spansPerLane counts the span sweeps one batch lane decodes. Conv rows
-// walk their index lists, so the only span gather on the lane path is the
-// tree projection's Wb (lane.go forwardLane → gatherLaneI8).
-func (e *Engine) spansPerLane() int64 {
-	var n int64
-	for _, chs := range e.Tree.Z.wbSpan.chunks {
-		for _, ch := range chs {
-			n += int64(len(ch.plus) + len(ch.minus))
-		}
-	}
-	return n
 }
 
 // gatherVisits counts one inference's gather-add work through this conv:
