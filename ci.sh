@@ -1,7 +1,8 @@
 #!/bin/sh
 # ci.sh — the repository's verification gauntlet: static analysis, build,
 # race-enabled tests, and a short fuzz smoke over the hostile-input parsers
-# (the binary model loader, the WAV chunk walker and the TCP session hello).
+# (the binary model loader, the WAV chunk walker, the TCP session hello and
+# the MFCC kernel).
 set -eux
 
 go vet ./...
@@ -11,6 +12,10 @@ go build ./...
 # TestInferBatchLaneMatchesPerFrame, TestInferBatchLaneConcurrent in
 # internal/deploy).
 go test -race ./...
+# Shared MFCC plans: extractors built and run from several goroutines at
+# once must resolve to one plan and agree, and the streaming frontend must
+# stay bit-exact with the batch kernel, repeated under the race detector.
+go test -race -count=10 -run='TestPlanShared|TestFrontendMatchesBatch' ./internal/dsp
 
 # Engine benchmark smoke: one iteration of each packed-engine benchmark, so
 # a broken hot path fails CI even when nobody reads BENCH_engine.json.
@@ -212,3 +217,4 @@ rm -rf "$SDIR"
 go test -run='^$' -fuzz=FuzzReadEngine -fuzztime=10s ./internal/deploy
 go test -run='^$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
 go test -run='^$' -fuzz=FuzzParseHello -fuzztime=5s ./internal/serve
+go test -run='^$' -fuzz=FuzzMFCC -fuzztime=5s ./internal/dsp

@@ -1,61 +1,109 @@
 // Package dsp implements the signal-processing frontend used for
-// keyword-spotting: radix-2 FFT, windowing, mel filterbanks, the DCT-II, and
-// the MFCC pipeline that converts 1-second waveforms into the paper's
-// 49×10 MFCC input features (40 ms frames with a 20 ms stride, 10 cepstral
-// coefficients).
+// keyword-spotting: the paper's 49×10 MFCC input (40 ms frames with a 20 ms
+// stride, 40 mel filters, 10 cepstral coefficients) from 1-second waveforms.
+//
+// Every MFCCConfig resolves to one immutable, memoised plan: the Hann
+// window, the tables of a real-input FFT (an N/2-point complex radix-2 FFT
+// of the even/odd-packed frame plus a split pass), a sparse mel filterbank
+// and the DCT-II table. One frame kernel over that plan serves both the
+// batch MFCC.Compute and the streaming Frontend, so every extractor of one
+// configuration shares the tables and the two paths cannot drift apart.
 package dsp
 
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
-// FFT computes the in-place radix-2 Cooley-Tukey FFT of x. The length of x
-// must be a power of two; FFT panics otherwise.
-func FFT(x []complex128) {
-	n := len(x)
-	if n&(n-1) != 0 || n == 0 {
-		panic(fmt.Sprintf("dsp: FFT length %d is not a power of two", n))
+// realFFT holds the tables of an n-point FFT of real input. The frame is
+// packed as z[m] = x[2m] + i·x[2m+1], transformed by an n/2-point complex
+// FFT, and split into the n/2+1 bins of the one-sided spectrum.
+type realFFT struct {
+	n          int
+	rev        []int32   // bit-reversal permutation of the n/2-point FFT
+	twRe, twIm []float64 // per stage of size s ≥ 4, exp(-2πij/s) for j < s/2, from offset s/2-2
+	spRe, spIm []float64 // exp(-2πik/n) for k ≤ n/2, the split twiddles
+}
+
+// newRealFFT builds the tables for an n-point real FFT. n must be a power of
+// two and at least 2; sizes come from NextPow2, so anything else is a bug.
+func newRealFFT(n int) *realFFT {
+	if n < 2 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("dsp: real FFT length %d is not a power of two ≥ 2", n))
 	}
-	// Bit-reversal permutation.
-	for i, j := 1, 0; i < n; i++ {
-		bit := n >> 1
-		for ; j&bit != 0; bit >>= 1 {
-			j ^= bit
+	h := n / 2
+	f := &realFFT{
+		n:    n,
+		rev:  make([]int32, h),
+		twRe: make([]float64, max(h-2, 0)),
+		twIm: make([]float64, max(h-2, 0)),
+		spRe: make([]float64, h+1),
+		spIm: make([]float64, h+1),
+	}
+	bits := 0
+	for 1<<bits < h {
+		bits++
+	}
+	for i := range f.rev {
+		r := 0
+		for b := 0; b < bits; b++ {
+			r |= (i >> b & 1) << (bits - 1 - b)
 		}
-		j ^= bit
-		if i < j {
-			x[i], x[j] = x[j], x[i]
+		f.rev[i] = int32(r)
+	}
+	for size := 4; size <= h; size <<= 1 {
+		for j := 0; j < size/2; j++ {
+			ang := 2 * math.Pi * float64(j) / float64(size)
+			f.twRe[size/2-2+j], f.twIm[size/2-2+j] = math.Cos(ang), -math.Sin(ang)
 		}
 	}
-	// Danielson-Lanczos butterflies.
-	for length := 2; length <= n; length <<= 1 {
-		ang := -2 * math.Pi / float64(length)
-		wl := cmplx.Rect(1, ang)
-		for i := 0; i < n; i += length {
-			w := complex(1, 0)
-			half := length / 2
-			for j := 0; j < half; j++ {
-				u := x[i+j]
-				v := x[i+j+half] * w
-				x[i+j] = u + v
-				x[i+j+half] = u - v
-				w *= wl
+	for k := range f.spRe {
+		ang := 2 * math.Pi * float64(k) / float64(n)
+		f.spRe[k], f.spIm[k] = math.Cos(ang), -math.Sin(ang)
+	}
+	return f
+}
+
+// transform writes the spectrum X[k], k = 0..n/2, of the real signal x
+// (len n; callers zero-pad) into xr, xi (len n/2+1). zr, zi (len n/2) are
+// the complex FFT's workspace.
+func (f *realFFT) transform(xr, xi, zr, zi, x []float64) {
+	h := f.n / 2
+	for m, r := range f.rev {
+		zr[m], zi[m] = x[2*r], x[2*r+1]
+	}
+	for m := 0; m+1 < h; m += 2 {
+		ar, ai, br, bi := zr[m], zi[m], zr[m+1], zi[m+1]
+		zr[m], zi[m], zr[m+1], zi[m+1] = ar+br, ai+bi, ar-br, ai-bi
+	}
+	for size := 4; size <= h; size <<= 1 {
+		half := size / 2
+		twr, twi := f.twRe[half-2:size-2], f.twIm[half-2:size-2]
+		twi = twi[:len(twr)]
+		for start := 0; start < h; start += size {
+			a, b := zr[start:start+half], zi[start:start+half]
+			c, d := zr[start+half:start+size], zi[start+half:start+size]
+			for j, wr := range twr {
+				wi := twi[j]
+				tr := wr*c[j] - wi*d[j]
+				ti := wr*d[j] + wi*c[j]
+				c[j], d[j] = a[j]-tr, b[j]-ti
+				a[j] += tr
+				b[j] += ti
 			}
 		}
 	}
-}
-
-// IFFT computes the inverse FFT of x in place (normalised by 1/n).
-func IFFT(x []complex128) {
-	for i := range x {
-		x[i] = cmplx.Conj(x[i])
-	}
-	FFT(x)
-	n := complex(float64(len(x)), 0)
-	for i := range x {
-		x[i] = cmplx.Conj(x[i]) / n
+	// Split: with Z[h] ≡ Z[0], E = (Z[k] + conj Z[h-k])/2 is the even
+	// samples' spectrum, O = (Z[k] - conj Z[h-k])/2i the odd samples', and
+	// X[k] = E + exp(-2πik/n)·O.
+	for k := 0; k <= h; k++ {
+		ar, ai := zr[k&(h-1)], zi[k&(h-1)]
+		br, bi := zr[(h-k)&(h-1)], zi[(h-k)&(h-1)]
+		er, ei := (ar+br)/2, (ai-bi)/2
+		or, oi := (ai+bi)/2, (br-ar)/2
+		wr, wi := f.spRe[k], f.spIm[k]
+		xr[k] = er + wr*or - wi*oi
+		xi[k] = ei + wr*oi + wi*or
 	}
 }
 
@@ -66,36 +114,6 @@ func NextPow2(n int) int {
 		p <<= 1
 	}
 	return p
-}
-
-// PowerSpectrum returns the one-sided power spectrum |X[k]|² for
-// k = 0..n/2 of the real signal frame, zero-padded to fftSize.
-func PowerSpectrum(frame []float64, fftSize int) []float64 {
-	out := make([]float64, fftSize/2+1)
-	powerSpectrumInto(out, make([]complex128, fftSize), frame)
-	return out
-}
-
-// powerSpectrumInto is PowerSpectrum into caller scratch: buf (len fftSize)
-// is the FFT workspace, dst (len fftSize/2+1) receives the spectrum. The
-// streaming Frontend reuses both across frames so a steady stream does not
-// allocate; the arithmetic is identical to PowerSpectrum.
-func powerSpectrumInto(dst []float64, buf []complex128, frame []float64) {
-	n := len(frame)
-	if n > len(buf) {
-		n = len(buf)
-	}
-	for i := 0; i < n; i++ {
-		buf[i] = complex(frame[i], 0)
-	}
-	for i := n; i < len(buf); i++ {
-		buf[i] = 0
-	}
-	FFT(buf)
-	for k := range dst {
-		re, im := real(buf[k]), imag(buf[k])
-		dst[k] = re*re + im*im
-	}
 }
 
 // HannWindow returns an n-point periodic Hann window.

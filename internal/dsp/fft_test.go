@@ -35,6 +35,22 @@ func complexClose(a, b []complex128, tol float64) bool {
 	return true
 }
 
+// realSpectrum returns bins 0..n/2 of the real FFT of x (len n, a power of
+// two ≥ 2).
+func realSpectrum(x []float64) []complex128 {
+	f := newRealFFT(len(x))
+	h := len(x) / 2
+	xr, xi := make([]float64, h+1), make([]float64, h+1)
+	f.transform(xr, xi, make([]float64, h), make([]float64, h), x)
+	out := make([]complex128, h+1)
+	for k := range out {
+		out[k] = complex(xr[k], xi[k])
+	}
+	return out
+}
+
+// TestFFTMatchesNaiveDFT checks the complex FFT inside referenceMFCC, the
+// oracle the MFCC kernel is compared against.
 func TestFFTMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range []int{1, 2, 4, 8, 16, 64, 256} {
@@ -44,52 +60,90 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 		}
 		want := naiveDFT(x)
 		got := append([]complex128(nil), x...)
-		FFT(got)
+		refFFT(got)
 		if !complexClose(got, want, 1e-8*float64(n)) {
 			t.Fatalf("FFT mismatch at n=%d", n)
 		}
 	}
 }
 
-func TestFFTPanicsOnNonPowerOfTwo(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
+func TestRealFFTMatchesNaiveDFT(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for n := 2; n <= 1024; n <<= 1 {
+		x := make([]float64, n)
+		c := make([]complex128, n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+			c[i] = complex(x[i], 0)
 		}
-	}()
-	FFT(make([]complex128, 12))
+		want := naiveDFT(c)[:n/2+1]
+		if got := realSpectrum(x); !complexClose(got, want, 1e-9*float64(n)) {
+			t.Fatalf("real FFT mismatch at n=%d", n)
+		}
+	}
 }
 
-// Property: IFFT(FFT(x)) == x.
+func TestFFTPanicsOnNonPowerOfTwo(t *testing.T) {
+	for _, n := range []int{0, 1, 12} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("newRealFFT(%d): expected panic", n)
+				}
+			}()
+			newRealFFT(n)
+		}()
+	}
+}
+
+// Property: the one-sided real spectrum, completed by Hermitian symmetry and
+// inverted, gives back x.
 func TestQuickFFTInverseRoundTrip(t *testing.T) {
-	f := func(re, im [16]int8) bool {
-		x := make([]complex128, 16)
+	f := func(re [16]int8) bool {
+		x := make([]float64, 16)
 		for i := range x {
-			x[i] = complex(float64(re[i])/16, float64(im[i])/16)
+			x[i] = float64(re[i]) / 16
 		}
-		y := append([]complex128(nil), x...)
-		FFT(y)
-		IFFT(y)
-		return complexClose(x, y, 1e-9)
+		half := realSpectrum(x)
+		full := make([]complex128, len(x))
+		for k := range full {
+			if k < len(half) {
+				full[k] = half[k]
+			} else {
+				full[k] = cmplx.Conj(half[len(x)-k])
+			}
+		}
+		refIFFT(full)
+		for i, v := range full {
+			if math.Abs(real(v)-x[i]) > 1e-9 || math.Abs(imag(v)) > 1e-9 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: Parseval's theorem — sum |x|² == (1/n) sum |X|².
+// Property: Parseval's theorem — sum |x|² == (1/n) sum |X|², where the
+// one-sided spectrum counts bins 1..n/2-1 twice.
 func TestQuickFFTParseval(t *testing.T) {
 	f := func(re [32]int8) bool {
-		x := make([]complex128, 32)
+		x := make([]float64, 32)
 		var timeE float64
 		for i := range x {
-			x[i] = complex(float64(re[i])/32, 0)
-			timeE += real(x[i]) * real(x[i])
+			x[i] = float64(re[i]) / 32
+			timeE += x[i] * x[i]
 		}
-		FFT(x)
+		spec := realSpectrum(x)
 		var freqE float64
-		for _, v := range x {
-			freqE += real(v)*real(v) + imag(v)*imag(v)
+		for k, v := range spec {
+			p := real(v)*real(v) + imag(v)*imag(v)
+			if k != 0 && k != len(spec)-1 {
+				p *= 2
+			}
+			freqE += p
 		}
 		freqE /= float64(len(x))
 		return math.Abs(timeE-freqE) < 1e-9
@@ -99,25 +153,23 @@ func TestQuickFFTParseval(t *testing.T) {
 	}
 }
 
-// Property: FFT is linear — FFT(a·x + y) == a·FFT(x) + FFT(y).
+// Property: the real FFT is linear — F(a·x + y) == a·F(x) + F(y).
 func TestQuickFFTLinearity(t *testing.T) {
 	f := func(xb, yb [8]int8, ab int8) bool {
-		a := complex(float64(ab)/16, 0)
-		x := make([]complex128, 8)
-		y := make([]complex128, 8)
-		comb := make([]complex128, 8)
+		a := float64(ab) / 16
+		x := make([]float64, 8)
+		y := make([]float64, 8)
+		comb := make([]float64, 8)
 		for i := range x {
-			x[i] = complex(float64(xb[i])/16, 0)
-			y[i] = complex(float64(yb[i])/16, 0)
+			x[i] = float64(xb[i]) / 16
+			y[i] = float64(yb[i]) / 16
 			comb[i] = a*x[i] + y[i]
 		}
-		FFT(x)
-		FFT(y)
-		FFT(comb)
-		for i := range x {
-			x[i] = a*x[i] + y[i]
+		fx, fy := realSpectrum(x), realSpectrum(y)
+		for k := range fx {
+			fx[k] = complex(a, 0)*fx[k] + fy[k]
 		}
-		return complexClose(comb, x, 1e-9)
+		return complexClose(realSpectrum(comb), fx, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
@@ -131,10 +183,11 @@ func TestPowerSpectrumOfSine(t *testing.T) {
 	for i := range frame {
 		frame[i] = math.Sin(2 * math.Pi * 8 * float64(i) / n)
 	}
-	spec := PowerSpectrum(frame, n)
+	spec := realSpectrum(frame)
+	power := func(k int) float64 { return real(spec[k])*real(spec[k]) + imag(spec[k])*imag(spec[k]) }
 	peak := 0
 	for k := 1; k < len(spec); k++ {
-		if spec[k] > spec[peak] {
+		if power(k) > power(peak) {
 			peak = k
 		}
 	}

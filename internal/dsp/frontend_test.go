@@ -112,3 +112,23 @@ func TestFrontendZeroAllocs(t *testing.T) {
 		t.Fatalf("steady-state push allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// BenchmarkFrontendPush measures one 240 ms hop at 4 kHz: 12 new frames and
+// the window copy.
+func BenchmarkFrontendPush(b *testing.B) {
+	cfg := DefaultMFCCConfig(4000)
+	f := NewFrontend(cfg, 49)
+	rng := rand.New(rand.NewSource(44))
+	hop := make([]float64, 12*cfg.Stride())
+	for i := range hop {
+		hop[i] = rng.NormFloat64() * 0.1
+	}
+	dst := make([]float32, 49*cfg.NumCoeffs)
+	f.Push(make([]float64, cfg.SampleRate))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.Push(hop)
+		f.Window(dst)
+	}
+}

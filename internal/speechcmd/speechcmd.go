@@ -19,7 +19,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand"
-	"sync"
 
 	"repro/internal/dsp"
 	"repro/internal/nn"
@@ -206,10 +205,10 @@ const featurizeBlockSize = 128
 // 12 classes, featurised to MFCC and split 80/10/10.
 //
 // Waveform synthesis consumes the single master rng strictly sequentially,
-// so the corpus is byte-identical to any previous version of this package
-// for a given Config. Only the MFCC featurisation — a pure per-waveform
-// function that never touches the rng — fans out across cores, block by
-// block, with one private MFCC extractor per worker goroutine.
+// so for a given Config the corpus does not depend on how many cores
+// featurise it. Only the MFCC featurisation — a pure per-waveform function
+// that never touches the rng — fans out across cores, block by block,
+// through one shared (concurrency-safe) MFCC extractor.
 func Generate(cfg Config) *Dataset {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	sigs := make(map[string]signature, len(TargetWords)+len(UnknownWords))
@@ -219,18 +218,14 @@ func Generate(cfg Config) *Dataset {
 
 	var all []Sample
 	var waves [][]float64
-	mfccPool := sync.Pool{New: func() any {
-		return dsp.NewMFCC(dsp.DefaultMFCCConfig(cfg.SampleRate))
-	}}
+	mfcc := dsp.NewMFCC(dsp.DefaultMFCCConfig(cfg.SampleRate))
 	flush := func() {
 		if len(waves) == 0 {
 			return
 		}
 		base := len(all) - len(waves)
 		nn.ParallelFor(len(waves), func(i int) {
-			m := mfccPool.Get().(*dsp.MFCC)
-			all[base+i].Features = m.Compute(waves[i])
-			mfccPool.Put(m)
+			all[base+i].Features = mfcc.Compute(waves[i])
 		})
 		waves = waves[:0]
 	}

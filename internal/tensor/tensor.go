@@ -23,13 +23,14 @@ type Tensor struct {
 // It panics if any dimension is negative.
 func New(shape ...int) *Tensor {
 	n := 1
-	for _, d := range shape {
+	dims := append([]int(nil), shape...) // the caller's variadic slice stays on its stack
+	for _, d := range dims {
 		if d < 0 {
-			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, shape))
+			panic(fmt.Sprintf("tensor: negative dimension %d in shape %v", d, dims))
 		}
 		n *= d
 	}
-	return &Tensor{shape: append([]int(nil), shape...), Data: make([]float32, n)}
+	return &Tensor{shape: dims, Data: make([]float32, n)}
 }
 
 // Zeros is an alias for New, provided for readability at call sites.
