@@ -38,14 +38,16 @@ echo "$BENCH_INT"
 # (2) Bit-exactness smoke: InferInt must agree byte-for-byte with the
 #     FakeQuant-equivalent float simulation and the int64 scalar oracle on a
 #     synthetic paper-shape engine under both policies, and the column-lane
-#     row kernels (the runs gather, fused requant rows, depthwise
-#     edge-shifted word loads, padded-stride round trip) must match their
-#     scalar oracles property-wise.
+#     row kernels (the runs gather, fused requant rows, the mixed policy's
+#     biased two-lane Wc combine and Wb writer, depthwise edge-shifted word
+#     loads, padded-stride round trip) must match their scalar oracles
+#     property-wise. TestBatchLanePathWithTelemetry also checks the
+#     engine.requant.two_phase_rows counter exactly.
 go test -count=1 -short \
     -run='TestInferIntMatchesFloatSimulation|TestInferIntMatchesNaiveRandomized|TestInferIntZeroAllocs' \
     ./internal/deploy
 go test -count=1 \
-    -run='TestGatherRowLayoutsProperty|TestFusedRowKernelsMatchTwoPhase|TestDWTapWord|TestBatchLanePathWithTelemetry|TestPadColsRoundTrip' \
+    -run='TestGatherRowLayoutsProperty|TestFusedRowKernelsMatchTwoPhase|TestBiasedLaneWcMatchesOracle|TestDWTapWord|TestBatchLanePathWithTelemetry|TestPadColsRoundTrip' \
     ./internal/deploy ./internal/tensor
 # (3) Serialization round-trip matrix: a PolicyInt8 engine written as .thnt
 #     v1, v2 and v3 must read back and score identically (v3 additionally
@@ -211,6 +213,11 @@ grep -q '"kind": "session.close"' "$SDIR/serve-flight.json"
 kill -TERM "$SERVE_PID"
 wait "$SERVE_PID"
 rm -rf "$SDIR"
+
+# WAV parser allocation gate: a one-second clip decodes in a bounded number
+# of allocations (chunk bodies pre-grown, not doubled up), and hostile size
+# claims still fail without a size-sized allocation.
+go test -count=1 -run='TestReadWAVAllocs|TestReadWAVHostileChunkSizes' ./internal/audio
 
 # Fuzz smoke: a short run per hostile-input parser. Seeds alone run in
 # `go test`; this exercises the mutation engine against fresh corpus entries.

@@ -67,14 +67,30 @@ func clamp(v, lo, hi float64) float64 {
 const (
 	maxDataChunkBytes = 64 << 20
 	maxFmtChunkBytes  = 4 << 10
+
+	// preallocChunkBytes caps how much of a claimed chunk size is allocated
+	// before the bytes arrive: a one-second 16 kHz clip's 32,000-byte data
+	// chunk fits in one allocation, while a hostile claim costs at most this
+	// much up front.
+	preallocChunkBytes = 64 << 10
 )
 
-// readChunkBody reads exactly size bytes through a bytes.Buffer, so a header
-// claiming more bytes than the stream holds fails after the real bytes, not
-// after a size-sized up-front allocation.
+// readChunkBody reads exactly size bytes, allocating at most
+// preallocChunkBytes before the bytes arrive. A body within that bound is
+// read straight into one exact-size slice; a larger claim grows a
+// bytes.Buffer from the bound as bytes actually arrive, so a header claiming
+// more than the stream holds fails after the real bytes, not after a
+// size-sized up-front allocation.
 func readChunkBody(r io.Reader, id string, size uint32) ([]byte, error) {
-	var buf bytes.Buffer
-	if _, err := io.CopyN(&buf, r, int64(size)); err != nil {
+	if size <= preallocChunkBytes {
+		body := make([]byte, size)
+		if _, err := io.ReadFull(r, body); err != nil {
+			return nil, fmt.Errorf("audio: reading chunk %q: %w", id, err)
+		}
+		return body, nil
+	}
+	buf := bytes.NewBuffer(make([]byte, 0, preallocChunkBytes))
+	if _, err := io.CopyN(buf, r, int64(size)); err != nil {
 		return nil, fmt.Errorf("audio: reading chunk %q: %w", id, err)
 	}
 	return buf.Bytes(), nil
@@ -86,8 +102,12 @@ func readChunkBody(r io.Reader, id string, size uint32) ([]byte, error) {
 // chunks carry a pad byte), and fmt/data chunk allocations are bounded so a
 // hostile header cannot OOM the process.
 func ReadWAV(r io.Reader) (samples []float64, sampleRate int, err error) {
-	var riff [12]byte
-	if _, err := io.ReadFull(r, riff[:]); err != nil {
+	// One header buffer serves the RIFF header and then every chunk header
+	// (its first 8 bytes): it escapes through the io.Reader, so sharing it
+	// costs one allocation instead of one per header.
+	var hdr [12]byte
+	riff := hdr[:]
+	if _, err := io.ReadFull(r, riff); err != nil {
 		return nil, 0, fmt.Errorf("audio: reading RIFF header: %w", err)
 	}
 	if string(riff[0:4]) != "RIFF" || string(riff[8:12]) != "WAVE" {
@@ -98,8 +118,8 @@ func ReadWAV(r io.Reader) (samples []float64, sampleRate int, err error) {
 	var data []byte
 	haveData := false
 	for {
-		var chunk [8]byte
-		if _, err := io.ReadFull(r, chunk[:]); err != nil {
+		chunk := hdr[:8]
+		if _, err := io.ReadFull(r, chunk); err != nil {
 			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				break
 			}

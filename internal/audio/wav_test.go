@@ -232,3 +232,28 @@ func TestResampleIdentity(t *testing.T) {
 		t.Fatal("same-rate resample should be a no-op")
 	}
 }
+
+// TestReadWAVAllocs: decoding a one-second 16 kHz clip allocates the
+// reader, one header buffer, the fmt and data chunk bodies (each read into
+// one slice of its size rather than doubled up from 512 bytes, which cost
+// ~20 allocations) and the sample slice.
+func TestReadWAVAllocs(t *testing.T) {
+	samples := make([]float64, 16000)
+	for i := range samples {
+		samples[i] = math.Sin(float64(i) * 0.05)
+	}
+	var buf bytes.Buffer
+	if err := WriteWAV(&buf, samples, 16000); err != nil {
+		t.Fatal(err)
+	}
+	wav := buf.Bytes()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, _, err := ReadWAV(bytes.NewReader(wav)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("ReadWAV: %.0f allocs per 1 s clip", allocs)
+	if allocs > 8 {
+		t.Fatalf("ReadWAV allocates %.0f times per 1 s clip, want ≤ 8", allocs)
+	}
+}

@@ -6,20 +6,20 @@ package deploy
 // Engine.InferInt uses the engine's resident arena, InferBatch checks one out
 // per worker.
 type arena struct {
-	pol        Policy  // activation policy this arena was sized for
-	imgA, imgB []int8  // ping-pong activation planes (max c·h·w over the chain)
-	cols       []int8  // im2col scratch (max over convs)
-	hidden     []int16 // standard-conv hidden planes, mixed policy (max r·nOut)
-	hidden8    []int8  // standard-conv hidden planes, PolicyInt8
-	acc        []int32 // per-row accumulators: max(r,cout)·nOut standard, 2·nOut depthwise
-	pooled     []int8  // average-pool output feeding the tree
-	z16        []int16 // tree projection at 16 bit
-	z8         []int8  // requantised projection ẑ
-	wv         []int16 // per-node W and V outputs (2·L)
-	scores     []int64 // class score accumulators
-	out        []int32 // returned score slice
-	denseHid   []int16 // QDense hidden scratch (max R over tree denses)
-	xPad       []byte  // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
+	pol        Policy   // activation policy this arena was sized for
+	imgA, imgB []int8   // ping-pong activation planes (max c·h·w over the chain)
+	cols       []int8   // im2col scratch (max over convs)
+	hidW       []uint64 // standard-conv hidden planes, mixed policy (biased two-lane words)
+	hidden8    []int8   // standard-conv hidden planes, PolicyInt8
+	acc        []int32  // accumulator strips: one nOut strip standard, two depthwise
+	pooled     []int8   // average-pool output feeding the tree
+	z16        []int16  // tree projection at 16 bit
+	z8         []int8   // requantised projection ẑ
+	wv         []int16  // per-node W and V outputs (2·L)
+	scores     []int64  // class score accumulators
+	out        []int32  // returned score slice
+	denseHid   []int16  // QDense hidden scratch (max R over tree denses)
+	xPad       []byte   // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
 }
 
 // newArena sizes every buffer from the engine's compiled shapes, walking
@@ -33,12 +33,11 @@ func newArena(e *Engine) *arena {
 		nOut := oh * ow
 		// Buffers are sized at the column-lane padded stride pad8(nOut)
 		// (collane.go): activation channels, im2col planes, hidden planes
-		// and accumulator row slots all live at it on the hot path.
+		// and accumulator strips all live at it on the hot path.
 		pa := pad8(nOut)
 		// Only standard convs with a real window lower through im2col:
 		// pointwise aliases the image and depthwise gathers off it directly.
-		if q.Kind == kindStandard &&
-			!(q.KH == 1 && q.KW == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0) {
+		if q.Kind == kindStandard && !q.pointwise() {
 			if cols := int(q.Cin) * int(q.KH) * int(q.KW) * pa; cols > maxCols {
 				maxCols = cols
 			}
@@ -46,17 +45,16 @@ func newArena(e *Engine) *arena {
 		if out := int(q.Cout) * pa; out > maxImg {
 			maxImg = out
 		}
+		// Rows run serially, so a standard conv needs one accumulator strip
+		// (the fused kernels' two-phase fallback scratch) and a depthwise
+		// conv two: the channel sum and the per-unit tap sum side by side.
 		switch q.Kind {
 		case kindStandard:
 			if hid := int(q.R) * pa; hid > maxHidden {
 				maxHidden = hid
 			}
-			rows := int(q.R)
-			if int(q.Cout) > rows {
-				rows = int(q.Cout)
-			}
-			if acc := rows * pa; acc > maxAcc {
-				maxAcc = acc
+			if pa > maxAcc {
+				maxAcc = pa
 			}
 		case kindDepthwise:
 			if acc := 2 * pa; acc > maxAcc {
@@ -103,13 +101,14 @@ func newArena(e *Engine) *arena {
 		denseHid: make([]int16, maxR),
 		xPad:     make([]byte, (maxIn+63)&^63),
 	}
-	// The hidden planes are the policy-dependent buffer: int16 under the
-	// mixed policy, int8 under PolicyInt8 — half the resident activation
-	// bytes for the dominant buffer.
+	// The hidden planes are the policy-dependent buffer: int16 values in
+	// 32-bit biased lanes under the mixed policy (two columns per word, so
+	// the Wc combine adds two columns at once), int8 under PolicyInt8 — a
+	// quarter of the bytes for the dominant buffer.
 	if e.Policy == PolicyInt8 {
 		a.hidden8 = make([]int8, maxHidden)
 	} else {
-		a.hidden = make([]int16, maxHidden)
+		a.hidW = make([]uint64, maxHidden>>1)
 	}
 	return a
 }
@@ -120,8 +119,8 @@ func newArena(e *Engine) *arena {
 func (a *arena) bytes() int64 {
 	n := len(a.imgA) + len(a.imgB) + len(a.cols) + len(a.hidden8) +
 		len(a.pooled) + len(a.z8) + len(a.xPad)
-	n += 2 * (len(a.hidden) + len(a.z16) + len(a.wv) + len(a.denseHid))
+	n += 2 * (len(a.z16) + len(a.wv) + len(a.denseHid))
 	n += 4 * (len(a.acc) + len(a.out))
-	n += 8 * len(a.scores)
+	n += 8 * (len(a.scores) + len(a.hidW))
 	return int64(n)
 }

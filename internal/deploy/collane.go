@@ -21,12 +21,13 @@ package deploy
 // pad column can never contaminate a real one. The ~2% of extra arithmetic
 // on pad columns buys branch-free full-width loads everywhere.
 //
-// Every standard conv row — Wb over the im2col planes, Wc over int8 hidden
+// Every standard conv row — Wb over the im2col planes, Wc over the hidden
 // planes — has one compiled form, the ±1 index lists (kernels.go), walked
 // by gatherPlanesI8W or by its fused gather+requant twins gatherPlanesQ8 /
-// gatherPlanesQ16 below. The single-frame path, the hop bands and the batch
-// lanes all reach conv rows through the same four entry points (gatherWbRow,
-// gatherWcRow, hidRowQ8/Q16, outRowQ8).
+// gatherPlanesQ16 (int8 planes) and gatherWordsQ8 (the mixed policy's
+// biased two-lane int16 planes) below. The single-frame path, the hop bands
+// and the batch lanes all reach conv rows through the same four entry
+// points (hidRowQ8/Q16, outRowQ8/Q16).
 
 import "encoding/binary"
 
@@ -195,14 +196,6 @@ func (q *QConv) gatherWbRow(i int, acc []int32, cols []byte, stride int) {
 	gatherPlanesI8W(acc, cols, plus, minus, stride)
 }
 
-// gatherWcRow is gatherWbRow for the 1×1 combine rows over int8 hidden
-// planes (PolicyInt8; the mixed policy's int16 hidden combine keeps the
-// index gather — byte-lane packing does not apply to int16 planes).
-func (q *QConv) gatherWcRow(c int, acc []int32, hid []byte, stride int) {
-	plus, minus := q.wcSp.row(c)
-	gatherPlanesI8W(acc, hid, plus, minus, stride)
-}
-
 // The requant loops compute Mult.Apply(v) with the constants hoisted and the
 // sign-magnitude round replaced by a single-correction identity. Apply is
 // round-half-away-from-zero: sign(p)·((|p| + half) >> shift). For shift ≥ 1
@@ -337,49 +330,24 @@ func requantRowHid8(dst []int8, acc []int32, m Mult) {
 }
 
 // requantRowHid16 rescales one hidden row to int16 (the mixed policy's â
-// rescale): dst[j] = clampI16(m.Apply(acc[j])).
-func requantRowHid16(dst []int16, acc []int32, m Mult) {
-	mant := int64(m.Mant)
-	shift := m.Shift
-	half := int64(1) << (shift - 1)
-	if shift == 0 && mant != 0 {
-		for j := range dst {
-			dst[j] = clampI16(m.Apply(acc[j]))
+// rescale) and stores it as biased two-lane words (see gatherWordsQ8):
+// column j of dst is biasLane(clampI16(m.Apply(acc[j]))). acc holds
+// 2·len(dst) sums, so the row is written across its full padded width.
+func requantRowHid16(dst []uint64, acc []int32, m Mult) {
+	acc = acc[:2*len(dst)]
+	if satMult(m) {
+		for k := range dst {
+			dst[k] = biasLane(clampI16(m.Apply(acc[2*k]))) |
+				biasLane(clampI16(m.Apply(acc[2*k+1])))<<32
 		}
 		return
 	}
-	acc = acc[:len(dst)]
-	j := 0
-	for ; j+1 < len(dst); j += 2 {
-		p0 := int64(acc[j]) * mant
-		p1 := int64(acc[j+1]) * mant
-		o0 := int32((p0 + half + (p0 >> 63)) >> shift)
-		o1 := int32((p1 + half + (p1 >> 63)) >> shift)
-		if o0 < -32768 {
-			o0 = -32768
-		}
-		if o0 > 32767 {
-			o0 = 32767
-		}
-		if o1 < -32768 {
-			o1 = -32768
-		}
-		if o1 > 32767 {
-			o1 = 32767
-		}
-		dst[j] = int16(o0)
-		dst[j+1] = int16(o1)
-	}
-	for ; j < len(dst); j++ {
-		prod := int64(acc[j]) * mant
-		o := int32((prod + half + (prod >> 63)) >> shift)
-		if o < -32768 {
-			o = -32768
-		}
-		if o > 32767 {
-			o = 32767
-		}
-		dst[j] = int16(o)
+	mant := int64(m.Mant)
+	shift := m.Shift
+	half := int64(1) << (shift - 1)
+	for k := range dst {
+		dst[k] = biasLane(q16(acc[2*k], mant, half, shift)) |
+			biasLane(q16(acc[2*k+1], mant, half, shift))<<32
 	}
 }
 
@@ -590,11 +558,14 @@ func gatherPlanesQ8(dst []int8, acc []int32, cols []byte, plus, minus []int32, l
 }
 
 // gatherPlanesQ16 is gatherPlanesQ8 at the mixed policy's int16 hidden
-// width (no bias, no ReLU — requantRowHid16 semantics).
-func gatherPlanesQ16(dst []int16, acc []int32, cols []byte, plus, minus []int32, laneW int, m Mult) {
-	if len(plus)+len(minus) > chunkPlanes8 || (m.Shift == 0 && m.Mant != 0) {
+// width (no bias, no ReLU — requantRowHid16 semantics). It writes the row
+// as biased two-lane words over the full padded width: dst holds laneW/2
+// words, pad columns included, so every lane the Wc combine adds is in
+// [0, 65535].
+func gatherPlanesQ16(dst []uint64, acc []int32, cols []byte, plus, minus []int32, laneW int, m Mult) {
+	if len(plus)+len(minus) > chunkPlanes8 || satMult(m) {
 		gatherPlanesI8W(acc, cols, plus, minus, laneW)
-		requantRowHid16(dst, acc, m)
+		requantRowHid16(dst[:laneW>>1], acc, m)
 		return
 	}
 	corr := int32(128*len(plus) + 127*len(minus))
@@ -636,13 +607,7 @@ func gatherPlanesQ16(dst []int16, acc []int32, cols []byte, plus, minus []int32,
 			e3 += w3 & laneMaskE8
 			o3 += (w3 >> 8) & laneMaskE8
 		}
-		if base+32 <= len(dst) {
-			requantLanes16((*[32]int16)(dst[base:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-		} else {
-			var tmp [32]int16
-			requantLanes16(&tmp, e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
-			copy(dst[base:], tmp[:])
-		}
+		requantLanes16((*[16]uint64)(dst[base>>1:]), e0, o0, e1, o1, e2, o2, e3, o3, corr, mant, shift)
 	}
 	for ; g < nG; g++ {
 		base := g << 3
@@ -657,13 +622,218 @@ func gatherPlanesQ16(dst []int16, acc []int32, cols []byte, plus, minus []int32,
 			ev += w & laneMaskE8
 			od += (w >> 8) & laneMaskE8
 		}
-		var tmp [8]int16
-		requantLaneG16(tmp[:], ev, od, corr, mant, half, shift)
+		requantLaneG16((*[4]uint64)(dst[base>>1:]), ev, od, corr, mant, half, shift)
+	}
+}
+
+// --- biased two-lane hidden planes (mixed policy) ---
+//
+// The mixed policy keeps its hidden activations at int16, so the Wc combine
+// cannot use the byte lanes above. Instead each hidden value v is stored
+// biased, as the unsigned lane u = v + 32768 ∈ [0, 65535], two columns per
+// 64-bit word (column 2k in the low half, 2k+1 in the high half). A Wc row
+// then runs on whole words:
+//
+//	a  = n₋ · 0x0000FFFF0000FFFF     (preload: 65535 per minus plane)
+//	a += word   for each +1 plane
+//	a −= word   for each −1 plane
+//
+// Every 32-bit lane starts at 65535·n₋, gains at most 65535 per plus plane
+// and loses at most 65535 per minus plane, so it stays inside
+// [0, (n₊+n₋)·65535] at every step, in any order: while n₊+n₋ ≤ 65535
+// (chunkPlanes16) that is below 2³², no carry or borrow ever crosses into
+// the neighbouring lane, and the two lanes are two exact unsigned sums. The
+// lane then holds 65535·n₋ + Σ₊(v+32768) − Σ₋(v+32768), so
+//
+//	int32(uint32(lane) − (32768·n₊ + 32767·n₋)) = Σ₊v − Σ₋v
+//
+// exactly: the difference is at most 65535·32768 < 2³¹ in magnitude, so
+// the subtraction mod 2³² lands on the true signed value. Rows past the lane
+// bound and saturated multipliers take the two-phase pair (gatherWords +
+// requantRowI8), which folds the planes chunkPlanes16 at a time into int32.
+
+const (
+	biasI16       = 32768              // hidden value v is stored as the lane v + 32768
+	lanePre16     = 0x0000FFFF0000FFFF // one minus plane's preload: 65535 in each 32-bit lane
+	chunkPlanes16 = 65535              // planes one pass can fold: 65535 · 65535 < 2³²
+)
+
+// biasLane maps an int16 hidden value to its biased lane u = v + 32768.
+func biasLane(v int16) uint64 { return uint64(uint16(v) ^ 0x8000) }
+
+// gatherWords is the two-phase half of gatherWordsQ8: acc[j] = Σ₊v − Σ₋v
+// over the biased hidden words for all laneW columns, folding at most
+// chunkPlanes16 planes per pass into the int32 sums.
+func gatherWords(acc []int32, hid []uint64, plus, minus []int32, laneW int) {
+	nW := laneW >> 1
+	acc = acc[:2*nW]
+	for j := range acc {
+		acc[j] = 0
+	}
+	for len(plus)+len(minus) > 0 {
+		p := plus
+		if len(p) > chunkPlanes16 {
+			p = p[:chunkPlanes16]
+		}
+		m := minus
+		if rem := chunkPlanes16 - len(p); len(m) > rem {
+			m = m[:rem]
+		}
+		plus, minus = plus[len(p):], minus[len(m):]
+		pre := uint64(len(m)) * lanePre16
+		corr := uint32(biasI16*len(p) + (biasI16-1)*len(m))
+		for k := 0; k < nW; k++ {
+			a := pre
+			for _, pi := range p {
+				a += hid[int(pi)*nW+k]
+			}
+			for _, mi := range m {
+				a -= hid[int(mi)*nW+k]
+			}
+			acc[2*k] += int32(uint32(a) - corr)
+			acc[2*k+1] += int32(uint32(a>>32) - corr)
+		}
+	}
+}
+
+// gatherWordsQ8 runs one Wc row of the mixed policy end to end: the ±1
+// index-list combine of the biased two-lane hidden words (plane stride
+// laneW/2 words) and the int8 output requantisation in a single pass, each
+// 16-column tile requantised straight out of its eight word accumulators.
+// Rows past chunkPlanes16 and saturated multipliers take the two-phase pair;
+// acc (laneW int32s) is scratch for it. laneW must be a multiple of 8; dst
+// holds the row's real columns.
+func gatherWordsQ8(dst []int8, acc []int32, hid []uint64, plus, minus []int32, laneW int, m Mult, b int32, relu bool) {
+	if len(plus)+len(minus) > chunkPlanes16 || satMult(m) {
+		gatherWords(acc, hid, plus, minus, laneW)
+		requantRowI8(dst, acc, m, b, relu)
+		return
+	}
+	pre := uint64(len(minus)) * lanePre16
+	corr := uint32(biasI16*len(plus) + (biasI16-1)*len(minus))
+	mant := int64(m.Mant)
+	shift := m.Shift
+	var lo int32 = -128
+	if relu {
+		lo = 0
+	}
+	nW := laneW >> 1
+	k := 0
+	for ; k+8 <= nW; k += 8 {
+		// Planes are taken two at a time: a pair's lane sum is at most
+		// 2·65535, and adding or removing it whole keeps every
+		// intermediate inside the lane bound above, while the eight
+		// accumulators (which the register allocator spills) are loaded
+		// and stored half as often.
+		tile := hid[k:]
+		a0, a1, a2, a3, a4, a5, a6, a7 := pre, pre, pre, pre, pre, pre, pre, pre
+		i := 0
+		for ; i+1 < len(plus); i += 2 {
+			s := (*[8]uint64)(tile[int(plus[i])*nW:])
+			t := (*[8]uint64)(tile[int(plus[i+1])*nW:])
+			a0 += s[0] + t[0]
+			a1 += s[1] + t[1]
+			a2 += s[2] + t[2]
+			a3 += s[3] + t[3]
+			a4 += s[4] + t[4]
+			a5 += s[5] + t[5]
+			a6 += s[6] + t[6]
+			a7 += s[7] + t[7]
+		}
+		if i < len(plus) {
+			s := (*[8]uint64)(tile[int(plus[i])*nW:])
+			a0 += s[0]
+			a1 += s[1]
+			a2 += s[2]
+			a3 += s[3]
+			a4 += s[4]
+			a5 += s[5]
+			a6 += s[6]
+			a7 += s[7]
+		}
+		i = 0
+		for ; i+1 < len(minus); i += 2 {
+			s := (*[8]uint64)(tile[int(minus[i])*nW:])
+			t := (*[8]uint64)(tile[int(minus[i+1])*nW:])
+			a0 -= s[0] + t[0]
+			a1 -= s[1] + t[1]
+			a2 -= s[2] + t[2]
+			a3 -= s[3] + t[3]
+			a4 -= s[4] + t[4]
+			a5 -= s[5] + t[5]
+			a6 -= s[6] + t[6]
+			a7 -= s[7] + t[7]
+		}
+		if i < len(minus) {
+			s := (*[8]uint64)(tile[int(minus[i])*nW:])
+			a0 -= s[0]
+			a1 -= s[1]
+			a2 -= s[2]
+			a3 -= s[3]
+			a4 -= s[4]
+			a5 -= s[5]
+			a6 -= s[6]
+			a7 -= s[7]
+		}
+		base := k << 1
+		if base+16 <= len(dst) {
+			requantWords8((*[16]int8)(dst[base:]), a0, a1, a2, a3, a4, a5, a6, a7, corr, mant, shift, b, lo)
+		} else if base < len(dst) {
+			var tmp [16]int8
+			requantWords8(&tmp, a0, a1, a2, a3, a4, a5, a6, a7, corr, mant, shift, b, lo)
+			copy(dst[base:], tmp[:])
+		}
+	}
+	// A last 8-column group (laneW ≡ 8 mod 16) runs one plane at a time and
+	// reuses the tile epilogue, keeping only its first eight outputs.
+	for ; k < nW; k += 4 {
+		a0, a1, a2, a3 := pre, pre, pre, pre
+		for _, pi := range plus {
+			src := hid[int(pi)*nW+k:][:4]
+			a0 += src[0]
+			a1 += src[1]
+			a2 += src[2]
+			a3 += src[3]
+		}
+		for _, mi := range minus {
+			src := hid[int(mi)*nW+k:][:4]
+			a0 -= src[0]
+			a1 -= src[1]
+			a2 -= src[2]
+			a3 -= src[3]
+		}
+		base := k << 1
 		if base >= len(dst) {
 			continue
 		}
-		copy(dst[base:], tmp[:])
+		var tmp [16]int8
+		requantWords8(&tmp, a0, a1, a2, a3, 0, 0, 0, 0, corr, mant, shift, b, lo)
+		copy(dst[base:], tmp[:8])
 	}
+}
+
+// requantWords8 requantises one fused Wc tile of the mixed policy: eight
+// biased two-lane word accumulators (16 columns, low lane first) straight to
+// int8. Out of line for the same register-allocation reason as
+// requantLanes8.
+func requantWords8(d *[16]int8, a0, a1, a2, a3, a4, a5, a6, a7 uint64, corr uint32, mant int64, shift uint8, b, lo int32) {
+	half := int64(1) << (shift - 1)
+	d[0] = q8(int32(uint32(a0)-corr), mant, half, shift, b, lo)
+	d[1] = q8(int32(uint32(a0>>32)-corr), mant, half, shift, b, lo)
+	d[2] = q8(int32(uint32(a1)-corr), mant, half, shift, b, lo)
+	d[3] = q8(int32(uint32(a1>>32)-corr), mant, half, shift, b, lo)
+	d[4] = q8(int32(uint32(a2)-corr), mant, half, shift, b, lo)
+	d[5] = q8(int32(uint32(a2>>32)-corr), mant, half, shift, b, lo)
+	d[6] = q8(int32(uint32(a3)-corr), mant, half, shift, b, lo)
+	d[7] = q8(int32(uint32(a3>>32)-corr), mant, half, shift, b, lo)
+	d[8] = q8(int32(uint32(a4)-corr), mant, half, shift, b, lo)
+	d[9] = q8(int32(uint32(a4>>32)-corr), mant, half, shift, b, lo)
+	d[10] = q8(int32(uint32(a5)-corr), mant, half, shift, b, lo)
+	d[11] = q8(int32(uint32(a5>>32)-corr), mant, half, shift, b, lo)
+	d[12] = q8(int32(uint32(a6)-corr), mant, half, shift, b, lo)
+	d[13] = q8(int32(uint32(a6>>32)-corr), mant, half, shift, b, lo)
+	d[14] = q8(int32(uint32(a7)-corr), mant, half, shift, b, lo)
+	d[15] = q8(int32(uint32(a7>>32)-corr), mant, half, shift, b, lo)
 }
 
 // hidRowQ8 produces hidden plane i under PolicyInt8 — fused gather+requant
@@ -678,8 +848,10 @@ func (q *QConv) hidRowQ8(i int, dst []int8, acc []int32, cols []byte, stride int
 	requantRowHid8(dst, acc, q.hidMul8[i])
 }
 
-// hidRowQ16 is hidRowQ8 at the mixed policy's int16 hidden width.
-func (q *QConv) hidRowQ16(i int, dst []int16, acc []int32, cols []byte, stride int) {
+// hidRowQ16 is hidRowQ8 at the mixed policy's int16 hidden width: dst is
+// the row's biased two-lane words over the padded width (pad8 of the real
+// columns, halved), acc a strip of that many int32 columns.
+func (q *QConv) hidRowQ16(i int, dst []uint64, acc []int32, cols []byte, stride int) {
 	if stride&7 == 0 {
 		plus, minus := q.wbSp.row(i)
 		gatherPlanesQ16(dst, acc, cols, plus, minus, stride, q.HidMul[i])
@@ -689,16 +861,18 @@ func (q *QConv) hidRowQ16(i int, dst []int16, acc []int32, cols []byte, stride i
 	requantRowHid16(dst, acc, q.HidMul[i])
 }
 
-// outRowQ8 produces output channel c under PolicyInt8 — fused at a
-// SWAR-width stride, the two-phase pair otherwise.
-func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, cols []byte, stride int) {
-	if stride&7 == 0 {
-		plus, minus := q.wcSp.row(c)
-		gatherPlanesQ8(dst, acc, cols, plus, minus, stride, q.outMul8[c], q.OutBias[c], q.ReLU)
-		return
-	}
-	q.gatherWcRow(c, acc, cols, stride)
-	q.requantChannel8(dst, acc, c)
+// outRowQ8 produces output channel c under PolicyInt8 from int8 hidden
+// planes at the SWAR-width stride laneW.
+func (q *QConv) outRowQ8(c int, dst []int8, acc []int32, hid []byte, laneW int) {
+	plus, minus := q.wcSp.row(c)
+	gatherPlanesQ8(dst, acc, hid, plus, minus, laneW, q.outMul8[c], q.OutBias[c], q.ReLU)
+}
+
+// outRowQ16 produces output channel c under the mixed policy from the
+// biased two-lane hidden words at the SWAR-width stride laneW.
+func (q *QConv) outRowQ16(c int, dst []int8, acc []int32, hid []uint64, laneW int) {
+	plus, minus := q.wcSp.row(c)
+	gatherWordsQ8(dst, acc, hid, plus, minus, laneW, q.OutMul[c], q.OutBias[c], q.ReLU)
 }
 
 // requantLanes8 requantises one fused tile: the four even/odd lane
@@ -742,41 +916,16 @@ func requantLanes8(d *[32]int8, e0, o0, e1, o1, e2, o2, e3, o3 uint64, corr int3
 	d[31] = q8(int32(o3>>48)-corr, mant, half, shift, b, lo)
 }
 
-// requantLanes16 is requantLanes8 at the mixed policy's int16 hidden width.
-func requantLanes16(d *[32]int16, e0, o0, e1, o1, e2, o2, e3, o3 uint64, corr int32, mant int64, shift uint8) {
+// requantLanes16 is requantLanes8 at the mixed policy's int16 hidden width,
+// packing the tile's 32 columns into 16 biased two-lane words: word k of a
+// group holds lane k of its even accumulator (column 2k) low and lane k of
+// its odd accumulator (column 2k+1) high.
+func requantLanes16(d *[16]uint64, e0, o0, e1, o1, e2, o2, e3, o3 uint64, corr int32, mant int64, shift uint8) {
 	half := int64(1) << (shift - 1)
-	d[0] = q16(int32(e0&0xFFFF)-corr, mant, half, shift)
-	d[1] = q16(int32(o0&0xFFFF)-corr, mant, half, shift)
-	d[2] = q16(int32((e0>>16)&0xFFFF)-corr, mant, half, shift)
-	d[3] = q16(int32((o0>>16)&0xFFFF)-corr, mant, half, shift)
-	d[4] = q16(int32((e0>>32)&0xFFFF)-corr, mant, half, shift)
-	d[5] = q16(int32((o0>>32)&0xFFFF)-corr, mant, half, shift)
-	d[6] = q16(int32(e0>>48)-corr, mant, half, shift)
-	d[7] = q16(int32(o0>>48)-corr, mant, half, shift)
-	d[8] = q16(int32(e1&0xFFFF)-corr, mant, half, shift)
-	d[9] = q16(int32(o1&0xFFFF)-corr, mant, half, shift)
-	d[10] = q16(int32((e1>>16)&0xFFFF)-corr, mant, half, shift)
-	d[11] = q16(int32((o1>>16)&0xFFFF)-corr, mant, half, shift)
-	d[12] = q16(int32((e1>>32)&0xFFFF)-corr, mant, half, shift)
-	d[13] = q16(int32((o1>>32)&0xFFFF)-corr, mant, half, shift)
-	d[14] = q16(int32(e1>>48)-corr, mant, half, shift)
-	d[15] = q16(int32(o1>>48)-corr, mant, half, shift)
-	d[16] = q16(int32(e2&0xFFFF)-corr, mant, half, shift)
-	d[17] = q16(int32(o2&0xFFFF)-corr, mant, half, shift)
-	d[18] = q16(int32((e2>>16)&0xFFFF)-corr, mant, half, shift)
-	d[19] = q16(int32((o2>>16)&0xFFFF)-corr, mant, half, shift)
-	d[20] = q16(int32((e2>>32)&0xFFFF)-corr, mant, half, shift)
-	d[21] = q16(int32((o2>>32)&0xFFFF)-corr, mant, half, shift)
-	d[22] = q16(int32(e2>>48)-corr, mant, half, shift)
-	d[23] = q16(int32(o2>>48)-corr, mant, half, shift)
-	d[24] = q16(int32(e3&0xFFFF)-corr, mant, half, shift)
-	d[25] = q16(int32(o3&0xFFFF)-corr, mant, half, shift)
-	d[26] = q16(int32((e3>>16)&0xFFFF)-corr, mant, half, shift)
-	d[27] = q16(int32((o3>>16)&0xFFFF)-corr, mant, half, shift)
-	d[28] = q16(int32((e3>>32)&0xFFFF)-corr, mant, half, shift)
-	d[29] = q16(int32((o3>>32)&0xFFFF)-corr, mant, half, shift)
-	d[30] = q16(int32(e3>>48)-corr, mant, half, shift)
-	d[31] = q16(int32(o3>>48)-corr, mant, half, shift)
+	requantLaneG16((*[4]uint64)(d[0:4]), e0, o0, corr, mant, half, shift)
+	requantLaneG16((*[4]uint64)(d[4:8]), e1, o1, corr, mant, half, shift)
+	requantLaneG16((*[4]uint64)(d[8:12]), e2, o2, corr, mant, half, shift)
+	requantLaneG16((*[4]uint64)(d[12:16]), e3, o3, corr, mant, half, shift)
 }
 
 // requantLaneG8 requantises one 8-column group's even/odd lane pair — the
@@ -793,17 +942,17 @@ func requantLaneG8(d []int8, ev, od uint64, corr int32, mant, half int64, shift 
 	d[7] = q8(int32(od>>48)-corr, mant, half, shift, b, lo)
 }
 
-// requantLaneG16 is requantLaneG8 at the mixed policy's int16 hidden width.
-func requantLaneG16(d []int16, ev, od uint64, corr int32, mant, half int64, shift uint8) {
-	d = d[:8]
-	d[0] = q16(int32(ev&0xFFFF)-corr, mant, half, shift)
-	d[1] = q16(int32(od&0xFFFF)-corr, mant, half, shift)
-	d[2] = q16(int32((ev>>16)&0xFFFF)-corr, mant, half, shift)
-	d[3] = q16(int32((od>>16)&0xFFFF)-corr, mant, half, shift)
-	d[4] = q16(int32((ev>>32)&0xFFFF)-corr, mant, half, shift)
-	d[5] = q16(int32((od>>32)&0xFFFF)-corr, mant, half, shift)
-	d[6] = q16(int32(ev>>48)-corr, mant, half, shift)
-	d[7] = q16(int32(od>>48)-corr, mant, half, shift)
+// requantLaneG16 is requantLaneG8 at the mixed policy's int16 hidden width,
+// writing the group's 8 columns as four biased two-lane words.
+func requantLaneG16(d *[4]uint64, ev, od uint64, corr int32, mant, half int64, shift uint8) {
+	d[0] = biasLane(q16(int32(ev&0xFFFF)-corr, mant, half, shift)) |
+		biasLane(q16(int32(od&0xFFFF)-corr, mant, half, shift))<<32
+	d[1] = biasLane(q16(int32((ev>>16)&0xFFFF)-corr, mant, half, shift)) |
+		biasLane(q16(int32((od>>16)&0xFFFF)-corr, mant, half, shift))<<32
+	d[2] = biasLane(q16(int32((ev>>32)&0xFFFF)-corr, mant, half, shift)) |
+		biasLane(q16(int32((od>>32)&0xFFFF)-corr, mant, half, shift))<<32
+	d[3] = biasLane(q16(int32(ev>>48)-corr, mant, half, shift)) |
+		biasLane(q16(int32(od>>48)-corr, mant, half, shift))<<32
 }
 
 // satMult reports the one multiplier shape the branch-free requant identity

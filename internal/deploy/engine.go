@@ -68,6 +68,12 @@ func (q *QConv) outSize(h, w int) (int, int) {
 	return oh, ow
 }
 
+// pointwise reports a 1×1, stride-1, unpadded conv: its im2col matrix is
+// the input image itself.
+func (q *QConv) pointwise() bool {
+	return q.KH == 1 && q.KW == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0
+}
+
 // im2colI8 lowers an int8 image [c,h,w] into [c*kh*kw, nOut] columns.
 func im2colI8(x []int8, c, h, w, kh, kw, stride, padH, padW int) ([]int8, int, int) {
 	outH := (h+2*padH-kh)/stride + 1

@@ -60,8 +60,7 @@ func newFloatArena(e *Engine) *floatArena {
 		if nOut > maxNOut {
 			maxNOut = nOut
 		}
-		if q.Kind == kindStandard &&
-			!(q.KH == 1 && q.KW == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0) {
+		if q.Kind == kindStandard && !q.pointwise() {
 			if cols := int(q.Cin) * int(q.KH) * int(q.KW) * nOut; cols > maxCols {
 				maxCols = cols
 			}
@@ -242,7 +241,7 @@ func (q *QConv) forwardFloat(fa *floatArena, x []float32, out []float32, h, w in
 		return outH, outW
 	}
 	var cols []float32
-	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
+	if q.pointwise() {
 		cols = x[:int(q.Cin)*nOut]
 	} else {
 		cols = fa.cols[:int(q.Cin)*kh*kw*nOut]

@@ -356,7 +356,7 @@ func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int
 	kh, kw := int(q.KH), int(q.KW)
 	pb := pad8(nBand)
 	cols := hs.cols[:int(q.Cin)*kh*kw*pb]
-	if kh == 1 && kw == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0 {
+	if q.pointwise() {
 		// Pointwise: each band plane is the input plane's segment rows,
 		// contiguous — copy them straight across (the generic lowering
 		// walks 1-element taps) and zero only the pad tail the full-word
@@ -391,23 +391,19 @@ func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int
 		}
 		hidB := i8Bytes(hidden8)
 		for c := 0; c < cout; c++ {
-			acc := a.acc[:pb]
-			q.outRowQ8(c, hs.row[:nBand], acc, hidB, pb)
+			q.outRowQ8(c, hs.row[:nBand], a.acc[:pb], hidB, pb)
 			hs.scatterInt(out[c*g.outStride:], segs, g.ow)
 		}
 		return nBand
 	}
-	hidden := a.hidden[:r*pb]
-	q.stdHiddenRows(cols, hidden, a.acc, nBand, pb)
+	hidW := a.hidW[:r*pb>>1]
+	q.stdHiddenRows(cols, hidW, a.acc, nBand, pb)
 	if direct {
-		q.stdOutRows(hidden, a.acc, out[base0:], nBand, g.outStride)
+		q.stdOutRows(hidW, a.acc, out[base0:], nBand, g.outStride)
 		return nBand
 	}
 	for c := 0; c < cout; c++ {
-		acc := a.acc[:pb]
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, pb)
-		q.requantChannel(hs.row[:nBand], acc, c)
+		q.outRowQ16(c, hs.row[:nBand], a.acc[:pb], hidW, pb)
 		hs.scatterInt(out[c*g.outStride:], segs, g.ow)
 	}
 	return nBand

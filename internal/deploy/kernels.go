@@ -75,8 +75,9 @@ func (q *QDense) compileKernels() {
 	q.wcSp = compileRows(q.wc, int(q.Out), int(q.R))
 	// Wb reads int8 activations, so it also compiles to bitplane words for
 	// the word-packed matvec (bitplane.go); the lane projection (lane.go)
-	// walks its index lists. Wc reads the int16 hidden vector and keeps the
-	// index-gather form.
+	// walks its index lists. Wc reads the int16 hidden vector: the
+	// single-frame matvec gathers it by index, the lane projection walks
+	// the biased two-lane words (gatherWords).
 	q.wbBits = compileBitRows(q.wb, int(q.R), int(q.In))
 }
 
@@ -184,7 +185,7 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 	pa := pad8(nOut)
 	var cols []int8
 	ps := pa
-	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
+	if q.pointwise() {
 		// Pointwise: the im2col matrix is the image itself, at whatever
 		// channel stride the caller stored it.
 		cols = x[:int(q.Cin)*inStride]
@@ -198,10 +199,11 @@ func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy
 }
 
 // stdSparse is the standard-conv kernel: SWAR ternary matmul into the
-// hidden planes (int16 mixed, int8 under PolicyInt8), then a ternary 1×1
-// combine with per-channel requantisation. ps is the im2col plane stride,
-// outStride the output channel stride; the hidden planes always live at the
-// padded stride pad8(nOut).
+// hidden planes (biased two-lane int16 words under the mixed policy, int8
+// under PolicyInt8), then a ternary 1×1 combine with per-channel
+// requantisation. ps is the im2col plane stride, outStride the output
+// channel stride; the hidden planes always live at the padded stride
+// pad8(nOut).
 func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, pol Policy) {
 	pa := pad8(nOut)
 	if pol == PolicyInt8 {
@@ -210,108 +212,22 @@ func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, p
 		q.stdOutRows8(hidden8, a.acc, out, nOut, outStride)
 		return
 	}
-	hidden := a.hidden[:int(q.R)*pa]
-	q.stdHiddenRows(cols, hidden, a.acc, nOut, ps)
-	q.stdOutRows(hidden, a.acc, out, nOut, outStride)
+	hidW := a.hidW[:int(q.R)*pa>>1]
+	q.stdHiddenRows(cols, hidW, a.acc, nOut, ps)
+	q.stdOutRows(hidW, a.acc, out, nOut, outStride)
 }
 
-// gatherI16 accumulates the ternary combination of int16 planes (the
-// hidden layer) selected by the plus/minus index runs into acc. The first
-// plane is assigned rather than added, so acc needs no zeroing pass; an
-// empty row zeroes it instead. Remaining planes are folded up to eight at a
-// time — the partial sum of eight int16 values cannot wrap an int32, and
-// int32 addition is associative mod 2³², so the result stays bit-identical
-// to one-at-a-time accumulation while acc is loaded and stored an eighth as
-// often. All slices are resliced to exactly nOut so the inner loops
-// bounds-check once, not per element.
-func gatherI16(acc []int32, planes []int16, plus, minus []int32, nOut int) {
-	acc = acc[:nOut]
-	switch {
-	case len(plus) > 0:
-		src := planes[int(plus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = int32(v)
-		}
-		addPlanesI16(acc, planes, plus[1:], nOut, 1)
-		addPlanesI16(acc, planes, minus, nOut, -1)
-	case len(minus) > 0:
-		src := planes[int(minus[0])*nOut:][:nOut]
-		for j, v := range src {
-			acc[j] = -int32(v)
-		}
-		addPlanesI16(acc, planes, minus[1:], nOut, -1)
-	default:
-		for j := range acc {
-			acc[j] = 0
-		}
-	}
-}
-
-// addPlanesI16 adds (sign +1) or subtracts (sign −1) the selected int16
-// planes into acc, up to eight planes per pass.
-func addPlanesI16(acc []int32, planes []int16, idx []int32, nOut int, sign int32) {
-	k := 0
-	for ; k+7 < len(idx); k += 8 {
-		s1 := planes[int(idx[k])*nOut:][:nOut]
-		s2 := planes[int(idx[k+1])*nOut:][:nOut]
-		s3 := planes[int(idx[k+2])*nOut:][:nOut]
-		s4 := planes[int(idx[k+3])*nOut:][:nOut]
-		s5 := planes[int(idx[k+4])*nOut:][:nOut]
-		s6 := planes[int(idx[k+5])*nOut:][:nOut]
-		s7 := planes[int(idx[k+6])*nOut:][:nOut]
-		s8 := planes[int(idx[k+7])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j]) +
-					int32(s5[j]) + int32(s6[j]) + int32(s7[j]) + int32(s8[j])
-			}
-		}
-	}
-	for ; k+3 < len(idx); k += 4 {
-		s1 := planes[int(idx[k])*nOut:][:nOut]
-		s2 := planes[int(idx[k+1])*nOut:][:nOut]
-		s3 := planes[int(idx[k+2])*nOut:][:nOut]
-		s4 := planes[int(idx[k+3])*nOut:][:nOut]
-		if sign > 0 {
-			for j := range acc {
-				acc[j] += int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		} else {
-			for j := range acc {
-				acc[j] -= int32(s1[j]) + int32(s2[j]) + int32(s3[j]) + int32(s4[j])
-			}
-		}
-	}
-	for ; k < len(idx); k++ {
-		src := planes[int(idx[k])*nOut:][:nOut]
-		if sign > 0 {
-			for j, v := range src {
-				acc[j] += int32(v)
-			}
-		} else {
-			for j, v := range src {
-				acc[j] -= int32(v)
-			}
-		}
-	}
-}
-
-// stdHiddenRows computes every hidden row: each row gathers its +/−
-// im2col planes (at plane stride ps, through the index-list runs walk) into
-// its accumulator slot, then rescales to int16 through the per-hidden-unit
-// fixed-point multiplier. Accumulator slots and hidden planes are indexed by
-// row at the padded stride.
-func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut, ps int) {
+// stdHiddenRows computes every hidden row under the mixed policy: each row
+// gathers its +/− im2col planes (at plane stride ps, through the index-list
+// runs walk) and rescales to int16 through the per-hidden-unit fixed-point
+// multiplier, stored as biased two-lane words at the padded stride. Rows
+// run serially through one accumulator strip, the fallback's scratch.
+func (q *QConv) stdHiddenRows(cols []int8, hidW []uint64, accBuf []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
+	acc := accBuf[:pa]
 	for i := 0; i < int(q.R); i++ {
-		acc := accBuf[i*pa:][:pa]
-		q.hidRowQ16(i, hidden[i*pa:][:nOut], acc, colsB, ps)
+		q.hidRowQ16(i, hidW[i*pa>>1:][:pa>>1], acc, colsB, ps)
 	}
 }
 
@@ -320,23 +236,20 @@ func (q *QConv) stdHiddenRows(cols []int8, hidden []int16, accBuf []int32, nOut,
 func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, accBuf []int32, nOut, ps int) {
 	colsB := i8Bytes(cols)
 	pa := pad8(nOut)
+	acc := accBuf[:pa]
 	for i := 0; i < int(q.R); i++ {
-		acc := accBuf[i*pa:][:pa]
 		q.hidRowQ8(i, hidden8[i*pa:][:nOut], acc, colsB, ps)
 	}
 }
 
-// stdOutRows computes every output channel from the int16 hidden planes
-// (mixed policy). int16 planes gain little from byte-lane packing at these
-// widths, so this stage keeps the unrolled index gather — at the padded
-// hidden stride, so the pad columns ride along as inert garbage.
-func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os int) {
+// stdOutRows computes every output channel from the biased two-lane hidden
+// words (mixed policy) through the fused word combine, two columns per
+// add; only the real nOut columns are written to out.
+func (q *QConv) stdOutRows(hidW []uint64, accBuf []int32, out []int8, nOut, os int) {
 	pa := pad8(nOut)
+	acc := accBuf[:pa]
 	for c := 0; c < int(q.Cout); c++ {
-		acc := accBuf[c*pa:][:pa]
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, pa)
-		q.requantChannel(out[c*os:][:nOut], acc, c)
+		q.outRowQ16(c, out[c*os:][:nOut], acc, hidW, pa)
 	}
 }
 
@@ -346,8 +259,8 @@ func (q *QConv) stdOutRows(hidden []int16, accBuf []int32, out []int8, nOut, os 
 func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os int) {
 	hidB := i8Bytes(hidden8)
 	pa := pad8(nOut)
+	acc := accBuf[:pa]
 	for c := 0; c < int(q.Cout); c++ {
-		acc := accBuf[c*pa:][:pa]
 		q.outRowQ8(c, out[c*os:][:nOut], acc, hidB, pa)
 	}
 }

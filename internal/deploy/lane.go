@@ -24,9 +24,10 @@ package deploy
 //
 // Exactness therefore reduces to the SWAR fold argument in bitplane.go
 // (≤ 256 planes of ≤ 255 per 16-bit lane between folds, int32 addition
-// commutes mod 2³²), which is why the lane path is bit-identical to
-// InferInt and to the int64 scalar oracle — pinned by the property tests in
-// lane_test.go.
+// commutes mod 2³²) and, for the mixed policy's int16 hidden planes, the
+// biased two-lane bound in collane.go, which is why the lane path is
+// bit-identical to InferInt and to the int64 scalar oracle — pinned by the
+// property tests in lane_test.go.
 
 import (
 	"math"
@@ -49,21 +50,21 @@ const laneMinFrames = 5
 // owned by exactly one goroutine at a time; InferBatch checks them out of
 // the engine's free list.
 type laneArena struct {
-	pol        Policy  // activation policy this arena was sized for
-	imgA, imgB []int8  // ping-pong lane activation planes (8× the frame size)
-	cols       []int8  // lane im2col scratch
-	hidden     []int16 // lane hidden planes, mixed policy
-	hidden8    []int8  // lane hidden planes, PolicyInt8
-	acc        []int32 // row accumulator: laneW for std stages, 2·laneW depthwise
-	pooled     []int8  // lane average-pool output feeding the tree
-	hidL       []int16 // tree projection hidden lane (Z.R·8)
-	z8L        []int8  // requantised lane projection ẑ (Z.Out·8)
-	zf         []int8  // one frame's ẑ, untransposed for the node walk
-	wv         []int16 // per-node W and V outputs (2·L)
-	scores     []int64 // class score accumulators
-	out        []int32 // per-frame score scratch
-	denseHid   []int16 // QDense hidden scratch for the node walk
-	xPad       []byte  // QDense bitplane staging for the node walk
+	pol        Policy   // activation policy this arena was sized for
+	imgA, imgB []int8   // ping-pong lane activation planes (8× the frame size)
+	cols       []int8   // lane im2col scratch
+	hidW       []uint64 // lane hidden planes, mixed policy (biased two-lane words)
+	hidden8    []int8   // lane hidden planes, PolicyInt8
+	acc        []int32  // row accumulator: laneW for std stages, 2·laneW depthwise
+	pooled     []int8   // lane average-pool output feeding the tree
+	hidL       []uint64 // tree projection hidden lane (Z.R·8 columns, biased two-lane words)
+	z8L        []int8   // requantised lane projection ẑ (Z.Out·8)
+	zf         []int8   // one frame's ẑ, untransposed for the node walk
+	wv         []int16  // per-node W and V outputs (2·L)
+	scores     []int64  // class score accumulators
+	out        []int32  // per-frame score scratch
+	denseHid   []int16  // QDense hidden scratch for the node walk
+	xPad       []byte   // QDense bitplane staging for the node walk
 }
 
 // newLaneArena sizes the lane buffers by the same conv-chain walk as
@@ -75,8 +76,7 @@ func newLaneArena(e *Engine) *laneArena {
 	for _, q := range e.Convs {
 		oh, ow := q.outSize(h, w)
 		nOut := oh * ow
-		if q.Kind == kindStandard &&
-			!(q.KH == 1 && q.KW == 1 && q.Stride == 1 && q.PadH == 0 && q.PadW == 0) {
+		if q.Kind == kindStandard && !q.pointwise() {
 			if cols := int(q.Cin) * int(q.KH) * int(q.KW) * nOut; cols > maxCols {
 				maxCols = cols
 			}
@@ -131,7 +131,7 @@ func newLaneArena(e *Engine) *laneArena {
 		cols:     make([]int8, maxCols*laneFrames),
 		acc:      make([]int32, maxAccPos*laneFrames),
 		pooled:   make([]int8, cLast*ph*pw*laneFrames),
-		hidL:     make([]int16, int(t.Z.R)*laneFrames),
+		hidL:     make([]uint64, int(t.Z.R)*laneFrames>>1),
 		z8L:      make([]int8, int(t.Z.Out)*laneFrames),
 		zf:       make([]int8, int(t.Z.Out)),
 		wv:       make([]int16, 2*L),
@@ -143,7 +143,7 @@ func newLaneArena(e *Engine) *laneArena {
 	if e.Policy == PolicyInt8 {
 		a.hidden8 = make([]int8, maxHidden*laneFrames)
 	} else {
-		a.hidden = make([]int16, maxHidden*laneFrames)
+		a.hidW = make([]uint64, maxHidden*laneFrames>>1)
 	}
 	return a
 }
@@ -152,9 +152,9 @@ func newLaneArena(e *Engine) *laneArena {
 func (a *laneArena) bytes() int64 {
 	n := len(a.imgA) + len(a.imgB) + len(a.cols) + len(a.hidden8) +
 		len(a.pooled) + len(a.z8L) + len(a.zf) + len(a.xPad)
-	n += 2 * (len(a.hidden) + len(a.hidL) + len(a.wv) + len(a.denseHid))
+	n += 2 * (len(a.wv) + len(a.denseHid))
 	n += 4 * (len(a.acc) + len(a.out))
-	n += 8 * len(a.scores)
+	n += 8 * (len(a.scores) + len(a.hidW) + len(a.hidL))
 	return int64(n)
 }
 
@@ -253,7 +253,7 @@ func (q *QConv) forwardLane(a *laneArena, x, out []int8, h, w int, pol Policy) (
 		return outH, outW
 	}
 	var cols []int8
-	if kh == 1 && kw == 1 && stride == 1 && padH == 0 && padW == 0 {
+	if q.pointwise() {
 		cols = x[:int(q.Cin)*nOut*laneFrames]
 	} else {
 		cols = a.cols[:int(q.Cin)*kh*kw*nOut*laneFrames]
@@ -263,11 +263,13 @@ func (q *QConv) forwardLane(a *laneArena, x, out []int8, h, w int, pol Policy) (
 	return outH, outW
 }
 
-// stdLane is the standard-conv lane kernel: the index-list SWAR gather
-// into the lane hidden planes, then the 1×1 combine with per-channel
-// requantisation. Rows run serially — batch parallelism is across lanes, not
-// within a stage — and the row accumulator is reused, so the working set is
-// one laneW strip of int32 plus the lane planes.
+// stdLane is the standard-conv lane kernel: every hidden row and every
+// output channel runs through the same fused gather+requant row entry
+// points as the single-frame path (hidRowQ8/Q16, outRowQ8/Q16), over
+// laneW = nOut·8 lane columns — always a SWAR-width stride. Rows run
+// serially — batch parallelism is across lanes, not within a stage — and
+// the accumulator strip is reused, so the working set is one laneW strip of
+// int32 plus the lane planes.
 func (q *QConv) stdLane(a *laneArena, cols, out []int8, nOut int, pol Policy) {
 	r, cout := int(q.R), int(q.Cout)
 	laneW := nOut * laneFrames
@@ -276,28 +278,21 @@ func (q *QConv) stdLane(a *laneArena, cols, out []int8, nOut int, pol Policy) {
 	if pol == PolicyInt8 {
 		hidden8 := a.hidden8[:r*laneW]
 		for i := 0; i < r; i++ {
-			q.gatherWbRow(i, acc, colsB, laneW)
-			requantRowHid8(hidden8[i*laneW:][:laneW], acc, q.hidMul8[i])
+			q.hidRowQ8(i, hidden8[i*laneW:][:laneW], acc, colsB, laneW)
 		}
 		hidB := i8Bytes(hidden8)
 		for c := 0; c < cout; c++ {
-			q.gatherWcRow(c, acc, hidB, laneW)
-			q.requantChannel8(out[c*laneW:][:laneW], acc, c)
+			q.outRowQ8(c, out[c*laneW:][:laneW], acc, hidB, laneW)
 		}
 		return
 	}
-	hidden := a.hidden[:r*laneW]
+	nW := laneW >> 1
+	hidW := a.hidW[:r*nW]
 	for i := 0; i < r; i++ {
-		q.gatherWbRow(i, acc, colsB, laneW)
-		requantRowHid16(hidden[i*laneW:][:laneW], acc, q.HidMul[i])
+		q.hidRowQ16(i, hidW[i*nW:][:nW], acc, colsB, laneW)
 	}
-	// The int16 hidden combine keeps the unrolled index gather (as the
-	// single-frame path does): the planes are int16, so byte-lane packing
-	// does not apply, but each plane visit now covers 8 frames.
 	for c := 0; c < cout; c++ {
-		plus, minus := q.wcSp.row(c)
-		gatherI16(acc, hidden, plus, minus, laneW)
-		q.requantChannel(out[c*laneW:][:laneW], acc, c)
+		q.outRowQ16(c, out[c*laneW:][:laneW], acc, hidW, laneW)
 	}
 }
 
@@ -452,10 +447,11 @@ func poolLaneInto(dst []int8, img []int8, c, h, w, k, s int) (int, int) {
 
 // forwardLane classifies the n real frames of a lane: the projection runs
 // frame-major (the index-list gather and the int16 combine amortise over
-// all 8 slots; each plane is one 8-byte lane word, so the gather has no
-// scalar tail), then each frame's data-dependent node walk untransposes its ẑ and
-// runs on scalars, exactly as forwardInto does. Results land in dst,
-// reusing each slot's Scores storage.
+// all 8 slots; each Wb plane is one 8-byte lane word and each Wc plane four
+// biased two-lane words, so neither gather has a scalar tail), then each
+// frame's data-dependent node walk untransposes its ẑ and runs on scalars,
+// exactly as forwardInto does. Results land in dst, reusing each slot's
+// Scores storage.
 func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult) {
 	L := int(t.NumClasses)
 	d := int(t.ProjDim)
@@ -463,20 +459,17 @@ func (t *QTree) forwardLane(a *laneArena, xLane []int8, n int, dst []BatchResult
 	r := int(t.Z.R)
 	xB := i8Bytes(xLane)
 	accL := a.acc[:laneFrames]
-	hidL := a.hidL[:r*laneFrames]
+	const nW = laneFrames >> 1
+	hidL := a.hidL[:r*nW]
 	for i := 0; i < r; i++ {
 		plus, minus := t.Z.wbSp.row(i)
 		gatherPlanesI8W(accL, xB, plus, minus, laneFrames)
-		m := t.Z.HidMul[i]
-		dstH := hidL[i*laneFrames:][:laneFrames]
-		for f, v := range accL {
-			dstH[f] = clampI16(m.Apply(v))
-		}
+		requantRowHid16(hidL[i*nW:][:nW], accL, t.Z.HidMul[i])
 	}
 	z8L := a.z8L[:zOut*laneFrames]
 	for c := 0; c < zOut; c++ {
 		plus, minus := t.Z.wcSp.row(c)
-		gatherI16(accL, hidL, plus, minus, laneFrames)
+		gatherWords(accL, hidL, plus, minus, laneFrames)
 		dstZ := z8L[c*laneFrames:][:laneFrames]
 		for f, v := range accL {
 			dstZ[f] = clampI8(t.ZQ.Apply(int32(clampI16(t.Z.OutMul.Apply(v)))))
@@ -618,6 +611,7 @@ func (e *Engine) laneInferObserved(a *laneArena, xs [][]float32, dst []BatchResu
 	n := int64(len(xs))
 	o.Infers.Add(n)
 	o.Gathers.Add(o.gathersPerInfer * n)
+	o.TwoPhaseRows.Add(o.twoPhaseLane[pol])
 	o.LaneLanes.Inc()
 	o.LaneFrames.Add(n)
 	root.End()

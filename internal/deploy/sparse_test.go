@@ -36,17 +36,13 @@ func arenaForConv(q *QConv, h, w int) *arena {
 	// Internal plane and accumulator slots live at the column-lane padded
 	// stride even when the caller's input/output strides are dense.
 	pa := pad8(oh * ow)
-	rows := int(q.R)
-	if q.Kind == kindStandard && int(q.Cout) > rows {
-		rows = int(q.Cout)
-	}
-	acc := rows * pa
+	acc := pa
 	if q.Kind == kindDepthwise {
 		acc = 2 * pa
 	}
 	return &arena{
 		cols:    make([]int8, int(q.Cin)*int(q.KH)*int(q.KW)*pa),
-		hidden:  make([]int16, int(q.R)*pa),
+		hidW:    make([]uint64, int(q.R)*pa>>1),
 		hidden8: make([]int8, int(q.R)*pa),
 		acc:     make([]int32, acc),
 	}

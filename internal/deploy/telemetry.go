@@ -37,8 +37,17 @@ type Observer struct {
 	HopFull    *telemetry.Counter // hops that fell back to a full recompute
 	HopColumns *telemetry.Counter // conv output positions recomputed by hops
 
+	// TwoPhaseRows counts conv rows whose gather and requantisation ran as
+	// two passes through an int32 strip because the fused single-pass
+	// kernel could not represent them (see twoPhaseRows), per single-frame
+	// inference and per lane dispatch.
+	TwoPhaseRows *telemetry.Counter
+
 	tracer          *telemetry.Tracer
 	gathersPerInfer int64
+	// Two-phase rows per dispatch, indexed by Policy: the single-frame
+	// path and the batch lanes (whose stride is always SWAR width).
+	twoPhaseFrame, twoPhaseLane [2]int64
 }
 
 // EnableTelemetry compiles the engine's kernels and attaches an observer
@@ -58,7 +67,9 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		HopInfers:  reg.Counter("engine.hop.infers"),
 		HopFull:    reg.Counter("engine.hop.full_recomputes"),
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
-		tracer:     tracer,
+
+		TwoPhaseRows: reg.Counter("engine.requant.two_phase_rows"),
+		tracer:       tracer,
 	}
 	h, w := int(e.Frames), int(e.Coeffs)
 	for i, q := range e.Convs {
@@ -71,6 +82,17 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		o.LayerNs = append(o.LayerNs, reg.LatencyHistogram("engine."+name+".ns"))
 		oh, ow := q.outSize(h, w)
 		o.gathersPerInfer += q.gatherVisits(oh * ow)
+		// The single-frame path feeds the first conv a dense image, so a
+		// pointwise first conv gathers its hidden rows at stride h·w; its
+		// depthwise convs take the fused single-unit walk where dwSparse
+		// does. The lanes always run SWAR-width Wb rows and never the
+		// fused depthwise walk.
+		wbFused := i > 0 || !q.pointwise() || (h*w)&7 == 0
+		dwFused := q.dwCol && q.R == 1 && h*w >= 8
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			o.twoPhaseFrame[pol] += q.twoPhaseRows(pol, wbFused, dwFused)
+			o.twoPhaseLane[pol] += q.twoPhaseRows(pol, true, false)
+		}
 		h, w = oh, ow
 	}
 	o.LayerNames = append(o.LayerNames, "pool", "tree")
@@ -86,6 +108,48 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 // every compiled nonzero index is visited once per output position.
 func (q *QConv) gatherVisits(nOut int) int64 {
 	return int64(len(q.wbSp.idx)+len(q.wcSp.idx)) * int64(nOut)
+}
+
+// twoPhaseRows counts the rows of this conv that take the two-phase pair
+// (gather into an int32 strip, then requantise) instead of the fused
+// single-pass kernel at policy pol:
+//   - standard convs: Wb rows past the chunkPlanes8 fold budget, with a
+//     saturated hidden multiplier, or at an im2col stride off the SWAR width
+//     (wbFused false); Wc rows past their fold budget (chunkPlanes16 on the
+//     mixed policy's biased words, chunkPlanes8 on int8 planes) or with a
+//     saturated output multiplier;
+//   - depthwise convs on a path that takes the fused single-unit walk
+//     (dwFused): channels whose hidden or output multiplier is saturated.
+func (q *QConv) twoPhaseRows(pol Policy, wbFused, dwFused bool) int64 {
+	hid, out, wcBudget := q.HidMul, q.OutMul, chunkPlanes16
+	if pol == PolicyInt8 {
+		hid, out, wcBudget = q.hidMul8, q.outMul8, chunkPlanes8
+	}
+	var n int64
+	if q.Kind == kindDepthwise {
+		if !dwFused {
+			return 0
+		}
+		for ch := 0; ch < int(q.Cin); ch++ {
+			if satMult(hid[ch]) || satMult(out[ch]) {
+				n++
+			}
+		}
+		return n
+	}
+	for i := 0; i < int(q.R); i++ {
+		plus, minus := q.wbSp.row(i)
+		if !wbFused || len(plus)+len(minus) > chunkPlanes8 || satMult(hid[i]) {
+			n++
+		}
+	}
+	for c := 0; c < int(q.Cout); c++ {
+		plus, minus := q.wcSp.row(c)
+		if len(plus)+len(minus) > wcBudget || satMult(out[c]) {
+			n++
+		}
+	}
+	return n
 }
 
 // gatherVisits counts the tree's per-inference gather work. The root-to-leaf
@@ -161,6 +225,7 @@ func (e *Engine) inferArenaObserved(a *arena, x []float32, pol Policy) ([]int32,
 	o.InferNs.ObserveSince(t0)
 	o.Infers.Inc()
 	o.Gathers.Add(o.gathersPerInfer)
+	o.TwoPhaseRows.Add(o.twoPhaseFrame[pol])
 	root.End()
 	return sc, argmax(sc)
 }

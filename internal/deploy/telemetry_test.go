@@ -57,6 +57,9 @@ func TestEngineTelemetryCounts(t *testing.T) {
 	if obs.ArenaBytes.Value() <= 0 {
 		t.Fatal("arena high-water mark not recorded")
 	}
+	if got := obs.TwoPhaseRows.Value(); got != 0 {
+		t.Fatalf("two-phase rows = %d on an engine whose rows all fit the fused kernels", got)
+	}
 }
 
 // TestEngineTelemetryFaults: failed frames (wrong length, batch or safe

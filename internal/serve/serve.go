@@ -695,8 +695,10 @@ func (s *Server) shedOne() {
 	if victim == nil {
 		return
 	}
-	victim.terminate(ReasonShed)
+	// Count before terminating: a caller woken by the victim's Done must
+	// already see the shed counted.
 	s.obs.shed.Inc()
+	victim.terminate(ReasonShed)
 	s.flight.Record(telemetry.FlightShed, victim.id, 0, int64(victim.priority), 0, "memory-pressure")
 	s.flight.SnapshotIncident(telemetry.FlightShed, victim.id)
 	s.log.Warn("session shed under memory pressure", "id", victim.id, "priority", victim.priority)
