@@ -5,12 +5,13 @@
 # the MFCC kernel).
 set -eux
 
+# Format gate: every tracked Go file must be gofmt-clean.
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go vet ./...
 go build ./...
-# The -race pass also drives the InferBatch worker pool and the frame-major
-# lane batch kernels (TestInferBatchConcurrent,
-# TestInferBatchLaneMatchesPerFrame, TestInferBatchLaneConcurrent in
-# internal/deploy).
+# The -race pass also drives the InferBatch worker pool and its arena free
+# list (TestInferBatchConcurrent, TestInferBatchMatchesPerFrame,
+# TestInferBatchLaneConcurrent in internal/deploy).
 go test -race ./...
 # Shared MFCC plans: extractors built and run from several goroutines at
 # once must resolve to one plan and agree, and the streaming frontend must
@@ -54,20 +55,20 @@ go test -count=1 \
 #     preserving the policy byte and calibration table).
 go test -count=1 -run='TestWriteToVersionMatrix|TestV1ArtifactsStillReadable' ./internal/deploy
 
-# Batch-lane gauntlet.
-# (1) 0-alloc gate for the frame-major lane batch path: both activation
-#     policies with a reused result slice must run without allocating.
+# Batch gauntlet.
+# (1) 0-alloc gate for the batch path: both activation policies with a
+#     reused result slice must run without allocating.
 BENCH_BATCH="$(go test -run='^$' -bench='^BenchmarkEngineInferBatch(Mixed|Int8)$' -benchmem -benchtime=10x .)"
 echo "$BENCH_BATCH"
 [ "$(echo "$BENCH_BATCH" | grep -c ' 0 allocs/op')" -eq 2 ]
-# (2) Lane exactness/alloc/concurrency properties without the race detector
-#     (the alloc-count gates skip under -race), plus the lane transpose
-#     round-trip. TestInferBatchZeroAllocs also matches
-#     TestInferBatchZeroAllocsAcrossGC, which requires the lane arenas to
-#     survive two GCs.
+# (2) Batch exactness/alloc/concurrency properties without the race
+#     detector (the alloc-count gates skip under -race).
+#     TestInferBatchZeroAllocs also matches TestInferBatchZeroAllocsAcrossGC,
+#     which requires the batch arenas to survive two GCs at batch sizes 1,
+#     4 and 16.
 go test -count=1 -short \
-    -run='TestInferBatchLaneMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchLaneConcurrent|TestLanePack' \
-    ./internal/deploy ./internal/tensor
+    -run='TestInferBatchMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchLaneConcurrent' \
+    ./internal/deploy
 # (3) Mixed single-frame/batch concurrency under the race detector: one
 #     goroutine hammering the resident-arena InferInt path while three more
 #     drive InferBatch on the same engine — the contract the serving daemon
@@ -76,7 +77,8 @@ go test -race -count=1 -run='TestMixedSingleBatchConcurrent' ./internal/deploy
 # (4) Multi-core batch smoke: the worker-scaling sweep must clear the
 #     kws-bench v7 gates — single-frame int8 at least 2.5x faster than the
 #     float baseline, batch ns/frame at workers=1 within 1.5x of
-#     single-frame (the column-lane kernels win at one worker by design),
+#     single-frame (batch runs the single-frame kernels per frame, so one
+#     worker only adds dispatch),
 #     1000 frames of batch output matching the scalar NaiveInt oracle under
 #     both policies, the same oracle holding with a telemetry observer
 #     attached, 1000 consecutive hops of InferHopInt matching full-window

@@ -8,7 +8,7 @@
 // (Engine.InferFloat — the EngineInfer row, the baseline the integer
 // policies are measured against), the word-packed integer path at the mixed
 // 8/16-bit and fully-8-bit activation policies (Engine.InferInt), and the
-// frame-major lane batch path per policy (EngineInferBatchMixed /
+// batch path per policy (EngineInferBatchMixed /
 // EngineInferBatchInt8) swept across worker counts — each batch row is
 // measured under runtime.GOMAXPROCS(workers), with EngineInferBatchFloat
 // (serial per-frame InferFloat over the same batch) as the float baseline.
@@ -44,10 +44,10 @@
 // InferFloat, all NaiveInt parity checks (batch, telemetry-attached) must
 // hold, and — unless -gate-batch=false — batch ns/frame at workers=1 must
 // stay within 1.5× of the matching single-frame ns/op for both integer
-// policies (exit status 1 otherwise). The v3 gate demanded batch *beat*
-// single-frame at one worker; the column-lane single-frame kernels
-// inverted that relationship by design, so v4 gates the lane path's
-// overhead bound instead and leaves winning to the multi-worker rows.
+// policies (exit status 1 otherwise). The batch path runs the single-frame
+// kernels per frame, so at one worker it can only add dispatch overhead;
+// the gate bounds that overhead and leaves winning to the multi-worker
+// rows.
 package main
 
 import (
@@ -314,7 +314,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	e.Policy = deploy.PolicyMixed
 
 	// Batch float baseline: serial per-frame InferFloat over the same batch.
-	// One row — the float path has no lane kernels to scale.
+	// One row — the float path has no batch kernels to scale.
 	e.InferFloat(x)
 	batFlt := best(reps, func(b *testing.B) {
 		b.ReportAllocs()
@@ -330,9 +330,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 	rep.Results = append(rep.Results, batFlt)
 	rep.BatchNsFrameFloat = batFlt.NsPerFrame
 
-	// Worker-scaling sweep over the frame-major lane batch path, per policy.
-	// Each row is measured under GOMAXPROCS=workers and capped at that many
-	// lane workers, the steady-state serving shape (reused result slice).
+	// Worker-scaling sweep over the batch path, per policy. Each row is
+	// measured under GOMAXPROCS=workers and capped at that many batch
+	// workers, the steady-state serving shape (reused result slice).
 	prevProcs := runtime.GOMAXPROCS(0)
 	batAt1 := map[deploy.Policy]result{}
 	for _, pc := range []struct {
@@ -343,7 +343,7 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		{deploy.PolicyInt8, "EngineInferBatchInt8"},
 	} {
 		e.Policy = pc.pol
-		dst := e.InferBatchInto(nil, xs) // warm up: lane arenas + result storage
+		dst := e.InferBatchInto(nil, xs) // warm up: batch arenas + result storage
 		for _, w := range workerCounts {
 			runtime.GOMAXPROCS(w)
 			maxW := w
@@ -468,10 +468,9 @@ func benchEngine(out string, seed int64, density float64, batch, reps int, worke
 		fail = true
 	}
 	if gateBatch {
-		// The single-frame column-lane kernels beat the batch lane path at
-		// one worker by design (the batch path pays frame transposes and
-		// lane scheduling to win at higher worker counts), so the gate here
-		// bounds that overhead rather than demanding batch win.
+		// At one worker the batch path is the single-frame kernels plus
+		// per-frame dispatch and a score copy, so the gate here bounds that
+		// overhead rather than demanding batch win.
 		const batchOverheadTol = 1.5
 		for _, g := range []struct {
 			pol    string
@@ -642,7 +641,7 @@ func hopParityCheck(e *deploy.Engine, seed int64, n, hopFrames int) bool {
 // single-frame path and the observed batch path both agree byte-for-byte
 // with the plain engine's scalar NaiveInt oracle under both activation
 // policies. Attaching an observer swaps in the instrumented kernels
-// (inferArenaObserved, laneInferObserved); this pins their exactness on the
+// (inferArenaObserved, on both paths); this pins their exactness on the
 // shipped binary, not just the test suite.
 func telemetryParityCheck(oracle *deploy.Engine, engSeed int64, density float64, seed int64, n, batch int) bool {
 	eObs := deploy.SyntheticEngine(engSeed, density)
@@ -695,9 +694,9 @@ func telemetryParityCheck(oracle *deploy.Engine, engSeed int64, density float64,
 }
 
 // batchParityCheck verifies the batch headline exactness claim on the
-// shipped binary: n frames pushed through the frame-major lane batch path
-// (ragged tail included) must agree byte-for-byte with the int64 scalar
-// NaiveInt oracle under both activation policies.
+// shipped binary: n frames pushed through the batch path in batches of
+// the given size (ragged tail included) must agree byte-for-byte with the
+// int64 scalar NaiveInt oracle under both activation policies.
 func batchParityCheck(e *deploy.Engine, seed int64, n, batch int) bool {
 	rng := rand.New(rand.NewSource(seed))
 	defer func(p deploy.Policy) { e.Policy = p }(e.Policy)

@@ -12,49 +12,49 @@ type BatchResult struct {
 	Err    error   // wrong-length input or a recovered inference panic
 }
 
-// maxBatchWorkers caps the engine's persistent batch worker pool. The pool
-// is fixed-size (started once, lazily) so GOMAXPROCS changes between calls
-// never strand it undersized; the per-call worker cap bounds how many lanes
-// are actually in flight.
+// maxBatchWorkers caps the engine's persistent batch worker pool and its
+// arena free list. The pool is fixed-size (started once, lazily) so
+// GOMAXPROCS changes between calls never strand it undersized; the per-call
+// worker cap bounds how many chunks are actually in flight.
 const maxBatchWorkers = 16
 
-// laneJob is one lane of a batch, passed by value to the persistent worker
-// pool; done is the caller's completion channel.
-type laneJob struct {
+// batchJob is one contiguous chunk of a batch, passed by value to the
+// persistent worker pool; done is the caller's completion channel.
+type batchJob struct {
 	e    *Engine
 	xs   [][]float32
 	dst  []BatchResult
 	done chan struct{}
 }
 
-func batchLaneWorker(work chan laneJob) {
+func batchWorker(work chan batchJob) {
 	for j := range work {
-		j.e.runLane(j.xs, j.dst)
+		j.e.runChunk(j.xs, j.dst)
 		j.done <- struct{}{}
 	}
 }
 
-// ensureBatchWorkers starts the persistent lane workers on first parallel
+// ensureBatchWorkers starts the persistent batch workers on first parallel
 // batch. Workers hold only the channel (never the engine), so once the
 // engine is garbage its finalizer closes work and the pool unwinds.
 func (e *Engine) ensureBatchWorkers() {
 	e.batchOnce.Do(func() {
-		e.batchWork = make(chan laneJob, maxBatchWorkers)
+		e.batchWork = make(chan batchJob, maxBatchWorkers)
 		e.batchDone.New = func() any { return make(chan struct{}, maxBatchWorkers) }
 		for i := 0; i < maxBatchWorkers; i++ {
-			go batchLaneWorker(e.batchWork)
+			go batchWorker(e.batchWork)
 		}
 		runtime.SetFinalizer(e, func(e *Engine) { close(e.batchWork) })
 	})
 }
 
 // InferBatch classifies many MFCC frames, amortising dispatch for streaming
-// and serving callers. Frames are packed eight per frame-major lane (see
-// lane.go) so each decoded ±1 run covers the whole lane; lanes are spread
-// over up to GOMAXPROCS workers from a persistent pool. Per-frame faults
-// (wrong input length, a recovered panic) land in that frame's Err instead
-// of failing the batch. Unlike InferInt, the returned score slices are
-// caller-owned copies.
+// and serving callers. The batch is cut into one contiguous chunk per
+// worker (up to GOMAXPROCS, from a persistent pool); each chunk runs the
+// single-frame pipeline frame by frame on one arena checked out of the
+// engine's free list. Per-frame faults (wrong input length, a recovered
+// panic) land in that frame's Err instead of failing the batch. Unlike
+// InferInt, the returned score slices are caller-owned copies.
 //
 // InferBatch is safe for concurrent use, including concurrently with other
 // InferBatch calls on the same engine.
@@ -81,11 +81,12 @@ func (e *Engine) InferBatchCapped(xs [][]float32, maxWorkers int) []BatchResult 
 
 // InferBatchCappedInto combines InferBatchInto and InferBatchCapped: results
 // go into the reused dst, and at most maxWorkers goroutines (including the
-// caller) process lanes. When the effective worker count is one the whole
-// batch runs on the calling goroutine with no dispatch at all; otherwise
-// lanes are handed to the persistent worker pool, the caller keeps up to
-// maxWorkers−1 lanes in flight and runs the overflow itself, so a full pool
-// degrades to inline work instead of blocking.
+// caller) process the batch, as min(GOMAXPROCS, maxWorkers, len(xs))
+// contiguous chunks. With one worker the whole batch runs on the calling
+// goroutine with no dispatch at all; otherwise the caller hands every chunk
+// but the first to the persistent worker pool and runs the first itself. A
+// pool saturated by concurrent batches degrades to running the chunk inline
+// instead of blocking.
 func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWorkers int) []BatchResult {
 	if cap(dst) >= len(xs) {
 		dst = dst[:len(xs)]
@@ -98,57 +99,47 @@ func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWork
 		return dst
 	}
 	e.ensureCompiled()
-	nLanes := (len(xs) + laneFrames - 1) / laneFrames
+	n := len(xs)
 	workers := runtime.GOMAXPROCS(0)
 	if maxWorkers > 0 && workers > maxWorkers {
 		workers = maxWorkers
 	}
-	if workers > nLanes {
-		workers = nLanes
+	if workers > n {
+		workers = n
 	}
 	if workers <= 1 {
-		for lo := 0; lo < len(xs); lo += laneFrames {
-			hi := lo + laneFrames
-			if hi > len(xs) {
-				hi = len(xs)
-			}
-			e.runLane(xs[lo:hi], dst[lo:hi])
-		}
+		e.runChunk(xs, dst)
 		return dst
 	}
 	e.ensureBatchWorkers()
 	done := e.batchDone.Get().(chan struct{})
 	inflight := 0
-	for lo := 0; lo < len(xs); lo += laneFrames {
-		hi := lo + laneFrames
-		if hi > len(xs) {
-			hi = len(xs)
+	for k := 1; k < workers; k++ {
+		lo, hi := k*n/workers, (k+1)*n/workers
+		select {
+		case e.batchWork <- batchJob{e: e, xs: xs[lo:hi], dst: dst[lo:hi], done: done}:
+			inflight++
+		default:
+			e.runChunk(xs[lo:hi], dst[lo:hi])
 		}
-	reclaim:
-		for inflight > 0 {
-			select {
-			case <-done:
-				inflight--
-			default:
-				break reclaim
-			}
-		}
-		if inflight < workers-1 {
-			select {
-			case e.batchWork <- laneJob{e: e, xs: xs[lo:hi], dst: dst[lo:hi], done: done}:
-				inflight++
-				continue
-			default:
-				// Pool saturated by concurrent batches; run this lane inline.
-			}
-		}
-		e.runLane(xs[lo:hi], dst[lo:hi])
 	}
+	first := n / workers
+	e.runChunk(xs[:first], dst[:first])
 	for ; inflight > 0; inflight-- {
 		<-done
 	}
 	e.batchDone.Put(done)
 	return dst
+}
+
+// runChunk classifies a contiguous run of frames into dst on one arena
+// checked out of the engine's free list.
+func (e *Engine) runChunk(xs [][]float32, dst []BatchResult) {
+	a := e.getArena()
+	for i, x := range xs {
+		dst[i] = e.inferOne(a, x, dst[i].Scores)
+	}
+	e.putArena(a)
 }
 
 // inferOne classifies one frame on the given arena with InferSafe semantics:
@@ -173,16 +164,29 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 	return BatchResult{Scores: append(scratch[:0], sc...), Class: cls}
 }
 
-// getArena checks a scratch arena out of the pool, building one on first
-// use. Pooled arenas sized for a different policy are dropped (the pool
-// refills at the current one).
+// getArena checks a scratch arena out of the engine's free list, building
+// one when the list is empty; arenas sized for a stale policy are dropped.
+// The free list is a bounded channel rather than a sync.Pool: a pool is
+// emptied by every second GC, and each miss rebuilds a whole arena, which
+// broke the batch path's zero-allocation steady state. It holds at most
+// maxBatchWorkers arenas — one per chunk that can be in flight — and
+// neither end ever blocks.
 func (e *Engine) getArena() *arena {
-	if a, ok := e.arenas.Get().(*arena); ok && a.pol == e.Policy {
-		return a
+	select {
+	case a := <-e.arenas:
+		if a.pol == e.Policy {
+			return a
+		}
+	default:
 	}
 	a := newArena(e)
 	e.obs.noteArena(a)
 	return a
 }
 
-func (e *Engine) putArena(a *arena) { e.arenas.Put(a) }
+func (e *Engine) putArena(a *arena) {
+	select {
+	case e.arenas <- a:
+	default: // list full: drop the arena for the GC
+	}
+}

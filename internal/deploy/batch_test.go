@@ -7,14 +7,18 @@ import (
 	"testing"
 )
 
-// TestInferBatchLaneMatchesPerFrame is the batch-path exactness property:
-// for randomized engine shapes and densities, every batch size (ragged
-// tails included) and both activation policies, InferBatch must be
-// bit-identical per frame to InferInt and to the int64 scalar oracle.
-func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
-	sizes := []int{1, 3, 5, 7, 8, 9, 16, 23}
+// TestInferBatchMatchesPerFrame is the batch-path exactness property: for
+// randomized engine shapes and densities, every batch size from 1 to 23
+// (so every split into worker chunks) and both activation policies,
+// InferBatch must be bit-identical per frame to InferInt and to the int64
+// scalar oracle.
+func TestInferBatchMatchesPerFrame(t *testing.T) {
+	var sizes []int
+	for n := 1; n <= 23; n++ {
+		sizes = append(sizes, n)
+	}
 	if testing.Short() {
-		sizes = []int{3, 7, 8, 23}
+		sizes = []int{1, 3, 7, 8, 23}
 	}
 	for seed := int64(0); seed < 6; seed++ {
 		rng := rand.New(rand.NewSource(4200 + seed))
@@ -64,11 +68,11 @@ func TestInferBatchLaneMatchesPerFrame(t *testing.T) {
 }
 
 // TestInferBatchZeroAllocs is the batch counterpart of the single-frame
-// 0-alloc gate: with a reused result slice, the serial lane path must run
+// 0-alloc gate: with a reused result slice, the serial batch path must run
 // without heap allocation under both policies.
 func TestInferBatchZeroAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("race detector makes sync.Pool drop items; alloc counts are meaningless")
+		t.Skip("alloc counts are not meaningful under the race detector")
 	}
 	e := SyntheticEngine(3, 0.35)
 	const batch = 16
@@ -84,7 +88,7 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e.Policy = pol
 		var dst []BatchResult
-		dst = e.InferBatchCappedInto(dst, xs, 1) // warm: arena pool + Scores storage
+		dst = e.InferBatchCappedInto(dst, xs, 1) // warm: arena free list + Scores storage
 		allocs := testing.AllocsPerRun(10, func() {
 			dst = e.InferBatchCappedInto(dst, xs, 1)
 		})
@@ -100,18 +104,18 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 }
 
 // TestInferBatchZeroAllocsAcrossGC is the regression test for the flaky
-// batch 0-alloc gate: the lane arenas must survive garbage collections. Two
-// GCs empty a sync.Pool completely, so a pooled lane arena is rebuilt on
-// the next batch; the engine's bounded free list keeps it. The measured
-// call is the first after the collections, with no warm-up in between.
+// batch 0-alloc gate: the batch arenas must survive garbage collections.
+// Two GCs empty a sync.Pool completely, so a pooled arena would be rebuilt
+// on the next batch; the engine's bounded free list keeps it. The measured
+// call is the first after the collections, with no warm-up in between, at
+// the batch sizes serving produces (one frame per lane call) and larger.
 func TestInferBatchZeroAllocsAcrossGC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
 	}
 	e := SyntheticEngine(3, 0.35)
-	const batch = 16
 	rng := rand.New(rand.NewSource(78))
-	xs := make([][]float32, batch)
+	xs := make([][]float32, 16)
 	for i := range xs {
 		x := make([]float32, e.Frames*e.Coeffs)
 		for j := range x {
@@ -124,28 +128,31 @@ func TestInferBatchZeroAllocsAcrossGC(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 		e.Policy = pol
-		dst := e.InferBatchCappedInto(nil, xs, 1) // warm: lane arena + Scores storage
-		runtime.GC()
-		runtime.GC()
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		dst = e.InferBatchCappedInto(dst, xs, 1)
-		runtime.ReadMemStats(&after)
-		if n := after.Mallocs - before.Mallocs; n != 0 {
-			t.Fatalf("policy %v: InferBatchCappedInto after two GCs made %d mallocs, want 0", pol, n)
-		}
-		for i, r := range dst {
-			if r.Err != nil {
-				t.Fatalf("policy %v frame %d: %v", pol, i, r.Err)
+		for _, n := range []int{1, 4, 16} {
+			dst := e.InferBatchCappedInto(nil, xs[:n], 1) // warm: arena + Scores storage
+			runtime.GC()
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			dst = e.InferBatchCappedInto(dst, xs[:n], 1)
+			runtime.ReadMemStats(&after)
+			if m := after.Mallocs - before.Mallocs; m != 0 {
+				t.Fatalf("policy %v batch %d: InferBatchCappedInto after two GCs made %d mallocs (%d B), want 0",
+					pol, n, m, after.TotalAlloc-before.TotalAlloc)
+			}
+			for i, r := range dst {
+				if r.Err != nil {
+					t.Fatalf("policy %v batch %d frame %d: %v", pol, n, i, r.Err)
+				}
 			}
 		}
 	}
 }
 
-// TestInferBatchLaneConcurrent drives the lane kernels from several
-// goroutines on one shared engine under -race: concurrent InferBatchInto
-// calls (full and ragged lanes) must stay bit-identical to the per-frame
-// path.
+// TestInferBatchLaneConcurrent drives one shared engine from several
+// goroutines under -race, as serve's inference lanes do: concurrent
+// InferBatchInto calls, each cut into uneven worker chunks, must stay
+// bit-identical to the per-frame path.
 func TestInferBatchLaneConcurrent(t *testing.T) {
 	e := SyntheticEngine(5, 0.35)
 	const n = 23

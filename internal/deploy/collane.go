@@ -2,17 +2,14 @@ package deploy
 
 // Single-frame column-lane execution.
 //
-// The batch lane kernels (lane.go) get their throughput from two properties:
-// every SWAR load is full (laneW = nOut·8 is always a multiple of the group
-// width, so there is no scalar tail) and every decoded ±1 run is amortised
-// over eight values. The single-frame path used to have neither — nOut is
-// rarely a multiple of 8, so gatherPlanesI8W ran a scalar tail every row and
-// re-derived a plane base per index. This file turns the same lane machinery
-// 90°: instead of 8 frames per 64-bit word, one frame's planes are stored at
+// A SWAR kernel earns its throughput from two properties: every load is
+// full (no scalar tail) and every decoded ±1 run is amortised over eight
+// values. A dense single-frame plane has neither — nOut is rarely a
+// multiple of 8, so gatherPlanesI8W would run a scalar tail every row and
+// re-derive a plane base per index. This file stores one frame's planes at
 // a *padded column stride* (tensor.PadStride: nOut rounded up to the next
-// multiple of 8), so a word carries 8 adjacent output columns of one frame
-// and each decoded ±1 index amortises over 8 outputs exactly as the batch
-// lanes amortise over 8 frames.
+// multiple of 8), so a 64-bit word carries 8 adjacent output columns of one
+// frame and each decoded ±1 index amortises over 8 outputs.
 //
 // Pad columns hold garbage and that is fine: every stage between
 // quantisation and the tree is either position-wise (output column j reads
@@ -25,9 +22,9 @@ package deploy
 // planes — has one compiled form, the ±1 index lists (kernels.go), walked
 // by gatherPlanesI8W or by its fused gather+requant twins gatherPlanesQ8 /
 // gatherPlanesQ16 (int8 planes) and gatherWordsQ8 (the mixed policy's
-// biased two-lane int16 planes) below. The single-frame path, the hop bands
-// and the batch lanes all reach conv rows through the same four entry
-// points (hidRowQ8/Q16, outRowQ8/Q16).
+// biased two-lane int16 planes) below. The single-frame path (which batch
+// inference runs per frame) and the hop bands reach conv rows through the
+// same four entry points (hidRowQ8/Q16, outRowQ8/Q16).
 
 import "encoding/binary"
 

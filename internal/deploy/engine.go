@@ -445,18 +445,17 @@ type Engine struct {
 	// the operative constants.
 	Calib []CalibEntry
 
-	compileOnce sync.Once       // guards kernel compilation
-	arena       *arena          // resident arena for InferInt/InferSafe
-	arenas      sync.Pool       // spare arenas for the per-frame batch fallback
-	laneArenas  chan *laneArena // spare frame-major lane arenas (lane.go)
-	hopStates   sync.Pool       // released HopStates for streaming sessions (hop.go)
-	farena      *floatArena     // resident scratch for InferFloat
+	compileOnce sync.Once   // guards kernel compilation
+	arena       *arena      // resident arena for InferInt/InferSafe
+	arenas      chan *arena // spare arenas for InferBatch chunks (batch.go)
+	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
+	farena      *floatArena // resident scratch for InferFloat
 
 	// Persistent batch worker pool (batch.go): fixed-size, started lazily on
-	// the first parallel InferBatch; lanes are dispatched to it by value so
+	// the first parallel InferBatch; chunks are dispatched to it by value so
 	// steady-state batches allocate nothing.
 	batchOnce sync.Once
-	batchWork chan laneJob
+	batchWork chan batchJob
 	batchDone sync.Pool // pooled per-call completion channels
 
 	// obs, when set via EnableTelemetry, routes the sparse path through the
@@ -465,11 +464,11 @@ type Engine struct {
 	obs *Observer
 }
 
-// ensureCompiled builds the sparse kernels (and the lane-arena free list)
+// ensureCompiled builds the sparse kernels (and the batch arena free list)
 // exactly once. Safe to call from concurrent InferBatch entry points.
 func (e *Engine) ensureCompiled() {
 	e.compileOnce.Do(func() {
-		e.laneArenas = make(chan *laneArena, maxBatchWorkers)
+		e.arenas = make(chan *arena, maxBatchWorkers)
 		h, w := int(e.Frames), int(e.Coeffs)
 		for _, q := range e.Convs {
 			q.compileKernels()

@@ -74,10 +74,8 @@ func (q *QDense) compileKernels() {
 	q.wbSp = compileRows(q.wb, int(q.R), int(q.In))
 	q.wcSp = compileRows(q.wc, int(q.Out), int(q.R))
 	// Wb reads int8 activations, so it also compiles to bitplane words for
-	// the word-packed matvec (bitplane.go); the lane projection (lane.go)
-	// walks its index lists. Wc reads the int16 hidden vector: the
-	// single-frame matvec gathers it by index, the lane projection walks
-	// the biased two-lane words (gatherWords).
+	// the word-packed matvec (bitplane.go). Wc reads the int16 hidden
+	// vector, which the matvec gathers by index.
 	q.wbBits = compileBitRows(q.wb, int(q.R), int(q.In))
 }
 

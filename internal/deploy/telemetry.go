@@ -24,12 +24,6 @@ type Observer struct {
 	Gathers    *telemetry.Counter // gather-add visits (compiled nonzero work)
 	ArenaBytes *telemetry.Gauge   // high-water scratch bytes across all arenas
 
-	// Batch lane-path accounting (lane.go): attaching an observer no longer
-	// demotes lanes to the scalar path, it routes them through the observed
-	// lane pipeline, which feeds these.
-	LaneLanes  *telemetry.Counter // lane dispatches taken by InferBatch
-	LaneFrames *telemetry.Counter // frames classified on the lane path
-
 	// Incremental hop-path accounting (hop.go). HopColumns is the number of
 	// conv output positions actually recomputed — against Infers·(total
 	// positions) it quantifies what temporal caching saves.
@@ -40,14 +34,12 @@ type Observer struct {
 	// TwoPhaseRows counts conv rows whose gather and requantisation ran as
 	// two passes through an int32 strip because the fused single-pass
 	// kernel could not represent them (see twoPhaseRows), per single-frame
-	// inference and per lane dispatch.
+	// inference, whether from InferInt or a batch frame.
 	TwoPhaseRows *telemetry.Counter
 
 	tracer          *telemetry.Tracer
 	gathersPerInfer int64
-	// Two-phase rows per dispatch, indexed by Policy: the single-frame
-	// path and the batch lanes (whose stride is always SWAR width).
-	twoPhaseFrame, twoPhaseLane [2]int64
+	twoPhaseFrame   [2]int64 // two-phase rows per inference, indexed by Policy
 }
 
 // EnableTelemetry compiles the engine's kernels and attaches an observer
@@ -62,8 +54,6 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		InferNs:    reg.LatencyHistogram("engine.infer.ns"),
 		Gathers:    reg.Counter("engine.gather.visits"),
 		ArenaBytes: reg.Gauge("engine.arena.bytes.highwater"),
-		LaneLanes:  reg.Counter("engine.lane.lanes"),
-		LaneFrames: reg.Counter("engine.lane.frames"),
 		HopInfers:  reg.Counter("engine.hop.infers"),
 		HopFull:    reg.Counter("engine.hop.full_recomputes"),
 		HopColumns: reg.Counter("engine.hop.columns_computed"),
@@ -85,13 +75,11 @@ func (e *Engine) EnableTelemetry(reg *telemetry.Registry, tracer *telemetry.Trac
 		// The single-frame path feeds the first conv a dense image, so a
 		// pointwise first conv gathers its hidden rows at stride h·w; its
 		// depthwise convs take the fused single-unit walk where dwSparse
-		// does. The lanes always run SWAR-width Wb rows and never the
-		// fused depthwise walk.
+		// does.
 		wbFused := i > 0 || !q.pointwise() || (h*w)&7 == 0
 		dwFused := q.dwCol && q.R == 1 && h*w >= 8
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			o.twoPhaseFrame[pol] += q.twoPhaseRows(pol, wbFused, dwFused)
-			o.twoPhaseLane[pol] += q.twoPhaseRows(pol, true, false)
 		}
 		h, w = oh, ow
 	}
