@@ -2,7 +2,7 @@
 # ci.sh — the repository's verification gauntlet: static analysis, build,
 # race-enabled tests, and a short fuzz smoke over the hostile-input parsers
 # (the binary model loader, the WAV chunk walker, the TCP session hello and
-# the MFCC kernel).
+# the MFCC kernel) and over the engine's inference paths.
 set -eux
 
 # Format gate: every tracked Go file must be gofmt-clean.
@@ -65,7 +65,9 @@ echo "$BENCH_BATCH"
 #     detector (the alloc-count gates skip under -race).
 #     TestInferBatchZeroAllocs also matches TestInferBatchZeroAllocsAcrossGC,
 #     which requires the batch arenas to survive two GCs at batch sizes 1,
-#     4 and 16.
+#     4 and 16 on one worker, and the arenas and completion channels to
+#     survive them at 2, 4 and 16 on two workers (at most one runtime sudog
+#     malloc there).
 go test -count=1 -short \
     -run='TestInferBatchMatchesPerFrame|TestInferBatchZeroAllocs|TestInferBatchLaneConcurrent' \
     ./internal/deploy
@@ -101,8 +103,10 @@ BENCH_HOP="$(go test -run='^$' -bench='^BenchmarkEngineInferHop(Mixed|Int8)$' -b
 echo "$BENCH_HOP"
 [ "$(echo "$BENCH_HOP" | grep -c ' 0 allocs/op')" -eq 2 ]
 # (2) Bit-exactness smoke: InferHopInt must agree byte-for-byte with the
-#     full-window path across shifts, invalidations, ragged arrivals, and
-#     both activation policies.
+#     full-window path and the NaiveInt oracle across shifts,
+#     invalidations, ragged arrivals, and both activation policies, and a
+#     warm paper-shape hop must recompute exactly the pinned column counts
+#     (TestInferHopColumnsPaperShape: 445 at the default 12-frame hop).
 go test -count=1 -run='TestInferHop' ./internal/deploy
 # (3) Gap/reset parity under the race detector: an incremental detector
 #     interleaving gap concealment and resets must stay event-identical to
@@ -221,9 +225,13 @@ rm -rf "$SDIR"
 # claims still fail without a size-sized allocation.
 go test -count=1 -run='TestReadWAVAllocs|TestReadWAVHostileChunkSizes' ./internal/audio
 
-# Fuzz smoke: a short run per hostile-input parser. Seeds alone run in
-# `go test`; this exercises the mutation engine against fresh corpus entries.
+# Fuzz smoke: a short run per hostile-input parser, plus the differential
+# engine target (FuzzEnginePaths: random engines, policies and hop schedules
+# through InferInt, InferBatchInto, InferHopInt, NaiveInt and InferFloat,
+# which must agree exactly). Seeds alone run in `go test`; this exercises
+# the mutation engine against fresh corpus entries.
 go test -run='^$' -fuzz=FuzzReadEngine -fuzztime=10s ./internal/deploy
+go test -run='^$' -fuzz=FuzzEnginePaths -fuzztime=10s ./internal/deploy
 go test -run='^$' -fuzz=FuzzReadWAV -fuzztime=10s ./internal/audio
 go test -run='^$' -fuzz=FuzzParseHello -fuzztime=5s ./internal/serve
 go test -run='^$' -fuzz=FuzzMFCC -fuzztime=5s ./internal/dsp

@@ -640,9 +640,10 @@ func hopParityCheck(e *deploy.Engine, seed int64, n, hopFrames int) bool {
 // telemetry observer, and verifies n frames through the observed
 // single-frame path and the observed batch path both agree byte-for-byte
 // with the plain engine's scalar NaiveInt oracle under both activation
-// policies. Attaching an observer swaps in the instrumented kernels
-// (inferArenaObserved, on both paths); this pins their exactness on the
-// shipped binary, not just the test suite.
+// policies. Attaching an observer adds per-stage spans and histograms
+// around the same conv executor calls (on both paths); this pins that
+// telemetry leaves the results untouched on the shipped binary, not just
+// the test suite.
 func telemetryParityCheck(oracle *deploy.Engine, engSeed int64, density float64, seed int64, n, batch int) bool {
 	eObs := deploy.SyntheticEngine(engSeed, density)
 	eObs.EnableTelemetry(telemetry.NewRegistry(), nil)

@@ -3,12 +3,12 @@ package deploy
 // arena holds every buffer one inference needs, sized once from the
 // engine's compiled shapes so the steady-state hot path performs zero heap
 // allocations. An arena is owned by exactly one goroutine at a time:
-// Engine.InferInt uses the engine's resident arena, InferBatch checks one out
-// per worker.
+// Engine.InferInt uses the engine's resident arena; InferBatch chunks and
+// incremental hops check one out of the engine's free list.
 type arena struct {
 	pol        Policy   // activation policy this arena was sized for
-	imgA, imgB []int8   // ping-pong activation planes (max c·h·w over the chain)
-	cols       []int8   // im2col scratch (max over convs)
+	imgA, imgB []int8   // ping-pong activation planes (max c·h·w over the chain); a hop's band staging
+	cols       []int8   // im2col scratch (max over non-pointwise standard convs)
 	hidW       []uint64 // standard-conv hidden planes, mixed policy (biased two-lane words)
 	hidden8    []int8   // standard-conv hidden planes, PolicyInt8
 	acc        []int32  // accumulator strips: one nOut strip standard, two depthwise
@@ -22,21 +22,18 @@ type arena struct {
 	xPad       []byte   // QDense bitplane staging (max ⌈In/64⌉·64 over tree denses)
 }
 
-// newArena sizes every buffer from the engine's compiled shapes, walking
-// the conv chain exactly as Validate does.
+// newArena sizes every buffer from the engine's compiled conv geometry.
 func newArena(e *Engine) *arena {
-	h, w := int(e.Frames), int(e.Coeffs)
-	maxImg := h * w
+	maxImg := int(e.Frames) * int(e.Coeffs)
 	var maxCols, maxHidden, maxAcc int
-	for _, q := range e.Convs {
-		oh, ow := q.outSize(h, w)
-		nOut := oh * ow
+	for i, q := range e.Convs {
 		// Buffers are sized at the column-lane padded stride pad8(nOut)
 		// (collane.go): activation channels, im2col planes, hidden planes
 		// and accumulator strips all live at it on the hot path.
-		pa := pad8(nOut)
+		pa := e.geom[i].outStride
 		// Only standard convs with a real window lower through im2col:
-		// pointwise aliases the image and depthwise gathers off it directly.
+		// pointwise reads the image (or, in a hop band, a copy staged in
+		// imgA) and depthwise gathers off it directly.
 		if q.Kind == kindStandard && !q.pointwise() {
 			if cols := int(q.Cin) * int(q.KH) * int(q.KW) * pa; cols > maxCols {
 				maxCols = cols
@@ -61,8 +58,9 @@ func newArena(e *Engine) *arena {
 				maxAcc = acc
 			}
 		}
-		h, w = oh, ow
 	}
+	g := e.geom[len(e.geom)-1]
+	h, w := g.oh, g.ow
 	ph := (h-int(e.PoolK))/int(e.PoolS) + 1
 	pw := (w-int(e.PoolK))/int(e.PoolS) + 1
 	cLast := int(e.Convs[len(e.Convs)-1].Cout)

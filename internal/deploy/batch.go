@@ -40,7 +40,7 @@ func batchWorker(work chan batchJob) {
 func (e *Engine) ensureBatchWorkers() {
 	e.batchOnce.Do(func() {
 		e.batchWork = make(chan batchJob, maxBatchWorkers)
-		e.batchDone.New = func() any { return make(chan struct{}, maxBatchWorkers) }
+		e.batchDone = make(chan chan struct{}, maxBatchWorkers)
 		for i := 0; i < maxBatchWorkers; i++ {
 			go batchWorker(e.batchWork)
 		}
@@ -112,7 +112,12 @@ func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWork
 		return dst
 	}
 	e.ensureBatchWorkers()
-	done := e.batchDone.Get().(chan struct{})
+	var done chan struct{}
+	select {
+	case done = <-e.batchDone:
+	default:
+		done = make(chan struct{}, maxBatchWorkers)
+	}
 	inflight := 0
 	for k := 1; k < workers; k++ {
 		lo, hi := k*n/workers, (k+1)*n/workers
@@ -128,7 +133,12 @@ func (e *Engine) InferBatchCappedInto(dst []BatchResult, xs [][]float32, maxWork
 	for ; inflight > 0; inflight-- {
 		<-done
 	}
-	e.batchDone.Put(done)
+	// Completion channels go back to a bounded free list, like the arenas
+	// (see getArena): a sync.Pool would be emptied by two GCs.
+	select {
+	case e.batchDone <- done:
+	default:
+	}
 	return dst
 }
 
@@ -166,6 +176,7 @@ func (e *Engine) inferOne(a *arena, x []float32, scratch []int32) (r BatchResult
 
 // getArena checks a scratch arena out of the engine's free list, building
 // one when the list is empty; arenas sized for a stale policy are dropped.
+// Batch chunks and incremental hops (hop.go) share the list.
 // The free list is a bounded channel rather than a sync.Pool: a pool is
 // emptied by every second GC, and each miss rebuilds a whole arena, which
 // broke the batch path's zero-allocation steady state. It holds at most

@@ -109,6 +109,18 @@ func TestInferBatchZeroAllocs(t *testing.T) {
 // on the next batch; the engine's bounded free list keeps it. The measured
 // call is the first after the collections, with no warm-up in between, at
 // the batch sizes serving produces (one frame per lane call) and larger.
+//
+// The one-worker case runs on one P, as in testing.AllocsPerRun, so no
+// other goroutine's mallocs land in the window, and must make none. The
+// two-worker case takes the dispatching path: the caller hands a chunk to
+// the persistent pool and waits on a completion channel, which comes from a
+// bounded free list as the arenas do. With a second P running, the
+// runtime's own allocations can land in its window: when a goroutine parks
+// on a channel after a GC has emptied the sudog cache, the runtime
+// allocates one 96 B sudog (runtime.acquireSudog), and waking a P can build
+// an M. So that case allows one malloc, at the best of three GC cycles.
+// Storage the engine rebuilds after a GC shows on every cycle, and a
+// completion channel alone costs more than one malloc.
 func TestInferBatchZeroAllocsAcrossGC(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc counts are not meaningful under the race detector")
@@ -123,26 +135,47 @@ func TestInferBatchZeroAllocsAcrossGC(t *testing.T) {
 		}
 		xs[i] = x
 	}
-	// One P, as in testing.AllocsPerRun, so no other goroutine's mallocs
-	// land in the measured window.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
-		e.Policy = pol
-		for _, n := range []int{1, 4, 16} {
-			dst := e.InferBatchCappedInto(nil, xs[:n], 1) // warm: arena + Scores storage
-			runtime.GC()
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			dst = e.InferBatchCappedInto(dst, xs[:n], 1)
-			runtime.ReadMemStats(&after)
-			if m := after.Mallocs - before.Mallocs; m != 0 {
-				t.Fatalf("policy %v batch %d: InferBatchCappedInto after two GCs made %d mallocs (%d B), want 0",
-					pol, n, m, after.TotalAlloc-before.TotalAlloc)
-			}
-			for i, r := range dst {
-				if r.Err != nil {
-					t.Fatalf("policy %v batch %d frame %d: %v", pol, n, i, r.Err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, tc := range []struct {
+		workers    int
+		sizes      []int
+		maxMallocs uint64
+		cycles     int
+	}{
+		{1, []int{1, 4, 16}, 0, 1},
+		{2, []int{2, 4, 16}, 1, 3},
+	} {
+		runtime.GOMAXPROCS(tc.workers)
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			e.Policy = pol
+			for _, n := range tc.sizes {
+				// Warm: arenas, channels and Scores storage. Several calls,
+				// so all chunks have once run at the same time and the free
+				// list holds an arena for each.
+				var dst []BatchResult
+				for k := 0; k < 4; k++ {
+					dst = e.InferBatchCappedInto(dst, xs[:n], tc.workers)
+				}
+				best, bytes := ^uint64(0), uint64(0)
+				for c := 0; c < tc.cycles && best > tc.maxMallocs; c++ {
+					runtime.GC()
+					runtime.GC()
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					dst = e.InferBatchCappedInto(dst, xs[:n], tc.workers)
+					runtime.ReadMemStats(&after)
+					if m := after.Mallocs - before.Mallocs; m < best {
+						best, bytes = m, after.TotalAlloc-before.TotalAlloc
+					}
+				}
+				if best > tc.maxMallocs {
+					t.Fatalf("%d workers, policy %v, batch %d: InferBatchCappedInto after two GCs made %d mallocs (%d B), want at most %d",
+						tc.workers, pol, n, best, bytes, tc.maxMallocs)
+				}
+				for i, r := range dst {
+					if r.Err != nil {
+						t.Fatalf("%d workers, policy %v, batch %d, frame %d: %v", tc.workers, pol, n, i, r.Err)
+					}
 				}
 			}
 		}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"time"
+
+	"repro/internal/telemetry"
 )
 
 // Conv kinds.
@@ -299,7 +302,7 @@ func (q *QDense) unpack() {
 
 // Forward maps an int8 vector to int16 outputs at OutScale. Like
 // QConv.Forward this is the allocating dense reference; the hot path is
-// forwardInto in kernels.go.
+// QDense.forwardInto in kernels.go.
 func (q *QDense) Forward(x []int8) []int16 {
 	if q.wb == nil {
 		q.unpack()
@@ -446,8 +449,9 @@ type Engine struct {
 	Calib []CalibEntry
 
 	compileOnce sync.Once   // guards kernel compilation
+	geom        []convGeom  // per-conv geometry, fixed at compile time
 	arena       *arena      // resident arena for InferInt/InferSafe
-	arenas      chan *arena // spare arenas for InferBatch chunks (batch.go)
+	arenas      chan *arena // spare arenas for InferBatch chunks and hops (batch.go)
 	hopStates   sync.Pool   // released HopStates for streaming sessions (hop.go)
 	farena      *floatArena // resident scratch for InferFloat
 
@@ -456,24 +460,27 @@ type Engine struct {
 	// steady-state batches allocate nothing.
 	batchOnce sync.Once
 	batchWork chan batchJob
-	batchDone sync.Pool // pooled per-call completion channels
+	// batchDone is the free list of per-call completion channels, bounded
+	// like the arena list at maxBatchWorkers: more concurrent dispatching
+	// calls than that are rare, and their surplus channels go to the GC.
+	batchDone chan chan struct{}
 
-	// obs, when set via EnableTelemetry, routes the sparse path through the
-	// instrumented variant in telemetry.go. nil (the default) costs one
-	// pointer comparison per inference.
+	// obs, when set via EnableTelemetry, adds per-stage spans, latency
+	// histograms and work counters to inferArena. nil (the default) costs
+	// one pointer comparison per stage.
 	obs *Observer
 }
 
-// ensureCompiled builds the sparse kernels (and the batch arena free list)
-// exactly once. Safe to call from concurrent InferBatch entry points.
+// ensureCompiled builds the sparse kernels, the conv geometry and the arena
+// free list exactly once. Safe to call from concurrent InferBatch entry
+// points.
 func (e *Engine) ensureCompiled() {
 	e.compileOnce.Do(func() {
 		e.arenas = make(chan *arena, maxBatchWorkers)
-		h, w := int(e.Frames), int(e.Coeffs)
-		for _, q := range e.Convs {
+		e.geom = e.convGeoms()
+		for i, q := range e.Convs {
 			q.compileKernels()
-			q.compileDWCol(h, w)
-			h, w = q.outSize(h, w)
+			q.compileDWCol(e.geom[i].h, e.geom[i].w)
 		}
 		e.Tree.compileKernels()
 	})
@@ -582,32 +589,55 @@ func (e *Engine) inferInt(x []float32) ([]int32, int) {
 	return e.inferArena(e.arena, x, e.Policy)
 }
 
-// inferArena runs the sparse-kernel pipeline on the given arena. Activation
-// images between convs live at the column-lane channel stride pad8(h·w)
-// (collane.go), so every plane gather runs full SWAR width; st tracks the
-// current stride down the chain. The first conv's input is dense (Cin is 1
-// there, so its stride is never read past the slice bound).
+// inferArena runs the compiled integer pipeline on the given arena: every
+// conv goes through the executor (runBand) as one whole-plane segment,
+// ping-ponging between the arena's image planes, then pooling and the tree.
+// Activation images between convs live at the column-lane channel stride
+// pad8(h·w) (collane.go), so every plane gather runs full SWAR width; the
+// first conv's input is dense. With an observer attached each stage gets a
+// span and a latency observation, and the whole pipeline its histogram and
+// work counters.
 func (e *Engine) inferArena(a *arena, x []float32, pol Policy) ([]int32, int) {
-	if e.obs != nil {
-		return e.inferArenaObserved(a, x, pol)
+	o := e.obs
+	var root telemetry.Span
+	var t0 time.Time
+	if o != nil {
+		root, t0 = o.tracer.Span("engine.infer"), time.Now()
 	}
 	e.quantizeInto(a.imgA[:len(x)], x)
 	img, next := a.imgA, a.imgB
-	h, w := int(e.Frames), int(e.Coeffs)
-	st := h * w
-	for _, conv := range e.Convs {
-		oh, ow := conv.outSize(h, w)
-		ost := pad8(oh * ow)
-		conv.forwardInto(a, img[:int(conv.Cin)*st], next, h, w, pol, st, ost)
+	for i, q := range e.Convs {
+		g := e.geom[i]
+		whole := [1][2]int{{0, g.oh}}
+		sp, tl := o.stage(root, i)
+		q.runBand(a, g, img, next, whole[:], pol)
+		o.endStage(i, sp, tl)
 		img, next = next, img
-		h, w = oh, ow
-		st = ost
 	}
-	c := int(e.Convs[len(e.Convs)-1].Cout)
-	pooled := a.pooled
-	ph, pw := poolInto(pooled, img, c, h, w, int(e.PoolK), int(e.PoolS), st)
-	sc := e.Tree.forwardInto(a, pooled[:c*ph*pw])
+	n := len(e.Convs)
+	sp, tl := o.stage(root, n)
+	pooled := e.pool(a, img)
+	o.endStage(n, sp, tl)
+	sp, tl = o.stage(root, n+1)
+	sc := e.Tree.forwardInto(a, pooled)
+	o.endStage(n+1, sp, tl)
+	if o != nil {
+		o.InferNs.ObserveSince(t0)
+		o.Infers.Inc()
+		o.Gathers.Add(o.gathersPerInfer)
+		o.TwoPhaseRows.Add(o.twoPhaseFrame[pol])
+		root.End()
+	}
 	return sc, argmax(sc)
+}
+
+// pool average-pools the last conv's output image into the arena's pooled
+// buffer and returns the tree's input.
+func (e *Engine) pool(a *arena, img []int8) []int8 {
+	g := e.geom[len(e.geom)-1]
+	c := int(e.Convs[len(e.Convs)-1].Cout)
+	ph, pw := poolInto(a.pooled, img, c, g.oh, g.ow, int(e.PoolK), int(e.PoolS), g.outStride)
+	return a.pooled[:c*ph*pw]
 }
 
 // inferNaive is the retained dense reference pipeline: per-call scratch

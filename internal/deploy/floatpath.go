@@ -169,7 +169,8 @@ func (e *Engine) InferFloat(x []float32) (scores []int32, class int) {
 	return sc, argmax(sc)
 }
 
-// im2colF32Into is im2colI8Into over float32 planes.
+// im2colF32Into is im2colBandI8's whole-plane lowering over dense float32
+// planes.
 func im2colF32Into(dst []float32, x []float32, c, h, w, kh, kw, stride, padH, padW int) (int, int) {
 	outH := (h+2*padH-kh)/stride + 1
 	outW := (w+2*padW-kw)/stride + 1

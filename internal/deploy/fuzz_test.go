@@ -2,6 +2,7 @@ package deploy
 
 import (
 	"bytes"
+	"math/rand"
 	"testing"
 
 	"repro/internal/faultinject"
@@ -79,6 +80,83 @@ func FuzzUnpackTernary(f *testing.F) {
 		for _, v := range vals {
 			if v < -1 || v > 1 {
 				t.Fatalf("non-ternary value %d", v)
+			}
+		}
+	})
+}
+
+// FuzzEnginePaths is the differential target over every inference path. The
+// inputs pick a random small engine (randSmallEngine from seed), its
+// starting policy (pol&1) and a hop schedule. Each schedule byte is one
+// step: 0xFF invalidates the hop cache, 0xFE flips the policy, and any other
+// byte b slides the window by b mod (Frames+3) fresh frames (0 repeats the
+// window, Frames or more replaces it). After every step InferInt,
+// InferBatchInto, InferHopInt, NaiveInt and InferFloat must return the same
+// scores for the current window.
+func FuzzEnginePaths(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{12, 4, 0xFE, 2, 0xFF, 7, 0, 30})
+	f.Add(int64(2), uint8(1), []byte{1, 1, 1, 2, 3, 5, 8})
+	f.Add(int64(3), uint8(0), []byte{0xFE, 0xFE, 6, 0xFF, 0xFF, 9, 9})
+	f.Add(int64(4), uint8(1), []byte{})
+	f.Fuzz(func(t *testing.T, seed int64, pol uint8, sched []byte) {
+		if len(sched) > 64 {
+			sched = sched[:64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		e := randSmallEngine(rng)
+		if err := e.Validate(); err != nil {
+			t.Fatalf("random engine invalid: %v", err)
+		}
+		e.Policy = Policy(pol & 1)
+		frames, coeffs := int(e.Frames), int(e.Coeffs)
+		win := make([]float32, frames*coeffs)
+		for i := range win {
+			win[i] = float32(rng.NormFloat64())
+		}
+		hs := e.NewHopState()
+		defer hs.Release()
+		var dst []BatchResult
+		// A fresh state is cold, so the first step is a full recompute
+		// whatever it asks for.
+		for step, b := range append([]byte{0}, sched...) {
+			nNew := 0
+			switch b {
+			case 0xFF:
+				hs.Invalidate()
+			case 0xFE:
+				e.Policy ^= 1
+			default:
+				nNew = int(b) % (frames + 3)
+				shift := min(nNew, frames)
+				copy(win, win[shift*coeffs:])
+				for i := (frames - shift) * coeffs; i < len(win); i++ {
+					win[i] = float32(rng.NormFloat64())
+				}
+			}
+			want, wantCls := e.NaiveInt(win)
+			check := func(path string, sc []int32, cls int) {
+				t.Helper()
+				if cls != wantCls {
+					t.Fatalf("step %d (byte %#x, pol %v): %s class %d, NaiveInt %d", step, b, e.Policy, path, cls, wantCls)
+				}
+				for j := range want {
+					if sc[j] != want[j] {
+						t.Fatalf("step %d (byte %#x, pol %v): %s score[%d]=%d, NaiveInt %d", step, b, e.Policy, path, j, sc[j], want[j])
+					}
+				}
+			}
+			sc, cls := e.InferHopInt(hs, win, nNew)
+			check("InferHopInt", sc, cls)
+			sc, cls = e.InferInt(win)
+			check("InferInt", sc, cls)
+			sc, cls = e.InferFloat(win)
+			check("InferFloat", sc, cls)
+			dst = e.InferBatchInto(dst, [][]float32{win, win, win})
+			for i, r := range dst {
+				if r.Err != nil {
+					t.Fatalf("step %d: batch frame %d: %v", step, i, r.Err)
+				}
+				check("InferBatchInto", r.Scores, r.Class)
 			}
 		}
 	})

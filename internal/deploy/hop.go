@@ -36,30 +36,26 @@ import "fmt"
 // whole output as one segment, so the fallback shares every instruction
 // with the incremental path.
 //
-// Exactness. The band kernels are the same compiled row kernels the
-// full-window path runs (collane.go), fed a band-local im2col matrix at the
+// Exactness. Every layer runs through the conv executor (runBand in
+// kernels.go) that single-frame inference runs as one whole-plane segment:
+// the same compiled row kernels, fed a band-local im2col matrix at the
 // padded stride pad8(nBand). Every kernel is position-wise exact — int32
 // accumulation is associative mod 2³², and each output position's sum walks
 // the same compiled nonzero indices in the same order regardless of which
 // other positions share the dispatch — so a recomputed band row is
 // bit-identical to the same row of a full-window InferInt, and a reused row
-// is bit-identical by induction. TestInferHopMatchesFullStream and the
-// property suite in hop_test.go pin this over long streams.
+// is bit-identical by induction. Depthwise layers recompute their whole
+// plane whenever any of their rows is dirty (the executor has no depthwise
+// band kernel), which leaves the clean rows unchanged.
+// TestInferHopMatchesFullStream and the property suite in hop_test.go pin
+// this over long streams.
 //
-// A HopState owns all mutable scratch (a serial arena plus the cached
-// images), so any number of HopStates may run concurrently on one engine —
-// the same contract as InferBatch. A single HopState is not safe for
-// concurrent use. Steady-state hops allocate nothing.
-
-// hopGeom is one conv layer's spatial geometry and channel strides as the
-// hop path caches it: images live at the column-lane padded stride
-// pad8(outH·outW).
-type hopGeom struct {
-	h, w      int // input spatial size
-	oh, ow    int // output spatial size
-	inStride  int // input channel stride (dense for the first layer)
-	outStride int // output channel stride, pad8(oh·ow)
-}
+// A HopState holds only its cached images. Each hop borrows a scratch arena
+// from the engine's free list (the one InferBatch chunks use) and returns it
+// before the scores come back, so any number of HopStates may run
+// concurrently on one engine — the same contract as InferBatch. A single
+// HopState is not safe for concurrent use. Steady-state hops allocate
+// nothing.
 
 // HopStats counts a HopState's work since construction.
 type HopStats struct {
@@ -77,65 +73,32 @@ type HopStats struct {
 // previous window's trailing rows.
 type HopState struct {
 	e   *Engine
-	a   *arena
-	pol Policy
+	pol Policy // activation policy the cached images were computed at
 
-	geom []hopGeom
-
-	// Cache: quantised input image plus one output image per conv.
+	// Cache: quantised input image plus one output image per conv, each at
+	// its layer's channel stride (engine geometry).
 	in    []int8
 	imgs  [][]int8
 	valid bool
 
-	// Band scratch. cols is the hop path's own im2col storage: unlike the
-	// arena's it is also sized for pointwise convs, whose band input must
-	// be copied to the band stride (the full path aliases the image, but a
-	// band slice at the image stride would let the full-word SWAR loads
-	// read past the plane). row stages one channel's requantised band
-	// before it is scattered back into the cached image's segments.
-	cols []int8
-	row  []int8
-	segs [][2]int
-
+	segs     [][2]int // recompute segments of the current layer
+	out      []int32  // the last hop's scores
 	lastFull bool
 	stats    HopStats
 }
 
-// newHopState sizes every cache and scratch buffer from the engine's
-// compiled shapes.
+// newHopState sizes the cached images from the engine's compiled shapes.
 func newHopState(e *Engine) *HopState {
 	hs := &HopState{
 		e:    e,
-		a:    newArena(e),
 		pol:  e.Policy,
+		in:   make([]int8, int(e.Frames)*int(e.Coeffs)),
 		segs: make([][2]int, 0, 2),
+		out:  make([]int32, e.Tree.NumClasses),
 	}
-	h, w := int(e.Frames), int(e.Coeffs)
-	hs.in = make([]int8, h*w)
-	inStride := h * w
-	maxCols, maxNOut := 0, 0
-	for _, q := range e.Convs {
-		oh, ow := q.outSize(h, w)
-		nOut := oh * ow
-		if nOut > maxNOut {
-			maxNOut = nOut
-		}
-		if q.Kind == kindStandard {
-			if c := int(q.Cin) * int(q.KH) * int(q.KW) * pad8(nOut); c > maxCols {
-				maxCols = c
-			}
-		}
-		g := hopGeom{
-			h: h, w: w, oh: oh, ow: ow,
-			inStride: inStride, outStride: pad8(nOut),
-		}
-		hs.geom = append(hs.geom, g)
-		hs.imgs = append(hs.imgs, make([]int8, int(q.Cout)*g.outStride))
-		h, w = oh, ow
-		inStride = g.outStride
+	for i, q := range e.Convs {
+		hs.imgs = append(hs.imgs, make([]int8, int(q.Cout)*e.geom[i].outStride))
 	}
-	hs.cols = make([]int8, maxCols)
-	hs.row = make([]int8, pad8(maxNOut))
 	return hs
 }
 
@@ -187,18 +150,9 @@ func (e *Engine) InferHopInt(hs *HopState, x []float32, nNew int) ([]int32, int)
 	return hs.inferInt(x, nNew)
 }
 
-// syncPolicy rebuilds the arena and poisons the cache when the engine's
-// policy changed since the last hop (cached activations are policy-specific).
-func (hs *HopState) syncPolicy() {
-	if pol := hs.e.Policy; pol != hs.pol {
-		hs.a = newArena(hs.e)
-		hs.pol = pol
-		hs.valid = false
-	}
-}
-
 // bandSegs assembles the recompute segments for one layer: the pad-touching
-// top band [0,aOut) and the new-data bottom band [bOut,outH).
+// top band [0,aOut) and the new-data bottom band [bOut,outH). An empty
+// reusable interval (aOut = bOut = 0) yields the whole plane.
 func (hs *HopState) bandSegs(aOut, bOut, outH int) [][2]int {
 	segs := hs.segs[:0]
 	if aOut > 0 {
@@ -212,91 +166,80 @@ func (hs *HopState) bandSegs(aOut, bOut, outH int) [][2]int {
 
 // cleanOut propagates a clean input interval [aIn,bIn) whose rows moved up
 // by shift through one conv, returning the reusable output interval and the
-// output shift. ok is false when nothing is reusable — the caller runs the
-// layer as a full recompute.
-func cleanOut(q *QConv, g hopGeom, aIn, bIn, shift int) (aOut, bOut, sOut int, ok bool) {
+// output shift. All three are zero when nothing is reusable, so the layer
+// and everything downstream recompute in full.
+func cleanOut(q *QConv, g convGeom, aIn, bIn, shift int) (aOut, bOut, sOut int) {
 	st, kh, padH := int(q.Stride), int(q.KH), int(q.PadH)
 	if bIn <= aIn || shift%st != 0 {
-		return 0, 0, 0, false
+		return 0, 0, 0
 	}
 	sOut = shift / st
 	aOut = (aIn + padH + st - 1) / st
-	bOut = (bIn+padH-kh)/st + 1
-	if bOut > g.oh {
-		bOut = g.oh
-	}
+	bOut = min((bIn+padH-kh)/st+1, g.oh)
 	if bOut <= aOut {
-		return 0, 0, 0, false
+		return 0, 0, 0
 	}
-	return aOut, bOut, sOut, true
+	return aOut, bOut, sOut
 }
 
 // inferInt runs one integer hop. See the package comment for the algorithm.
 func (hs *HopState) inferInt(x []float32, nNew int) ([]int32, int) {
 	e := hs.e
-	hs.syncPolicy()
+	a := e.getArena()
+	// The borrowed arena fixes the policy this hop runs at; cached
+	// activations are policy-specific, so a flip forces a full recompute.
+	if a.pol != hs.pol {
+		hs.pol = a.pol
+		hs.valid = false
+	}
 	h0, w0 := int(e.Frames), int(e.Coeffs)
 	full := !hs.valid || nNew < 0 || nNew >= h0
-	warm := hs.valid
 	hs.valid = false // poisoned until the hop completes
-	pol := hs.pol
 
 	var colsComputed int64
-	if warm && !full && nNew == 0 {
-		// Identical window: every cached image is exactly current.
-	} else if full {
-		e.quantizeInto(hs.in, x)
-		img := hs.in
-		for i, conv := range e.Convs {
-			g := hs.geom[i]
-			colsComputed += int64(hs.runBandInt(conv, g, img, hs.imgs[i], hs.bandSegs(g.oh, g.oh, g.oh), pol))
-			img = hs.imgs[i]
+	if full || nNew > 0 {
+		// [aIn,bIn) is the clean interval of the current layer's input and
+		// shift how far its rows moved; a full recompute starts with none.
+		aIn, bIn, shift := 0, 0, 0
+		if full {
+			e.quantizeInto(hs.in, x)
+		} else {
+			// Shift the input cache up nNew rows and quantise the new tail.
+			// The retained prefix is bit-identical to re-quantising x's
+			// leading rows: quantisation is position-wise and the caller
+			// guarantees the values match.
+			n := h0 * w0
+			copy(hs.in[:n-nNew*w0], hs.in[nNew*w0:])
+			e.quantizeInto(hs.in[(h0-nNew)*w0:], x[(h0-nNew)*w0:])
+			bIn, shift = h0-nNew, nNew
 		}
-	} else {
-		// Shift the input cache up nNew rows and quantise the new tail.
-		// The retained prefix is bit-identical to re-quantising x's leading
-		// rows: quantisation is position-wise and the caller guarantees the
-		// values match.
-		n := h0 * w0
-		copy(hs.in[:n-nNew*w0], hs.in[nNew*w0:])
-		e.quantizeInto(hs.in[(h0-nNew)*w0:], x[(h0-nNew)*w0:])
-		aIn, bIn, shift := 0, h0-nNew, nNew
 		img := hs.in
-		for i, conv := range e.Convs {
-			g := hs.geom[i]
+		for i, q := range e.Convs {
+			g := e.geom[i]
 			out := hs.imgs[i]
-			aOut, bOut, sOut, ok := cleanOut(conv, g, aIn, bIn, shift)
-			if !ok {
-				colsComputed += int64(hs.runBandInt(conv, g, img, out, hs.bandSegs(g.oh, g.oh, g.oh), pol))
-				aIn, bIn, shift = 0, 0, 0
-				img = out
-				continue
-			}
-			if sOut > 0 && !(conv.Kind == kindDepthwise && 2*segN(hs.bandSegs(aOut, bOut, g.oh), g.ow) >= g.oh*g.ow) {
-				// A depthwise band above the half-plane heuristic is about to
-				// be recomputed in full — skip the shift it would overwrite.
-				for c := 0; c < int(conv.Cout); c++ {
+			aOut, bOut, sOut := cleanOut(q, g, aIn, bIn, shift)
+			segs := hs.bandSegs(aOut, bOut, g.oh)
+			// A depthwise layer with any dirty row recomputes its whole
+			// plane, so the shift it would overwrite is skipped.
+			if sOut > 0 && (q.Kind != kindDepthwise || len(segs) == 0) {
+				for c := 0; c < int(q.Cout); c++ {
 					p := out[c*g.outStride:]
 					copy(p[:(g.oh-sOut)*g.ow], p[sOut*g.ow:g.oh*g.ow])
 				}
 			}
-			if segs := hs.bandSegs(aOut, bOut, g.oh); len(segs) > 0 {
-				colsComputed += int64(hs.runBandInt(conv, g, img, out, segs, pol))
-			}
+			colsComputed += int64(q.runBand(a, g, img, out, segs, hs.pol))
 			aIn, bIn, shift = aOut, bOut, sOut
 			img = out
 		}
 	}
 
 	last := len(e.Convs) - 1
-	g := hs.geom[last]
-	c := int(e.Convs[last].Cout)
-	a := hs.a
-	ph, pw := poolInto(a.pooled, hs.imgs[last], c, g.oh, g.ow, int(e.PoolK), int(e.PoolS), g.outStride)
-	sc := e.Tree.forwardInto(a, a.pooled[:c*ph*pw])
+	sc := e.Tree.forwardInto(a, e.pool(a, hs.imgs[last]))
+	hs.out = append(hs.out[:0], sc...)
+	e.putArena(a)
 	hs.valid = true
 	hs.noteHop(full, colsComputed)
-	return sc, argmax(sc)
+	return hs.out, argmax(hs.out)
 }
 
 // noteHop updates the state's counters and, when telemetry is attached, the
@@ -315,268 +258,6 @@ func (hs *HopState) noteHop(full bool, colsComputed int64) {
 		o.HopColumns.Add(colsComputed)
 		if full {
 			o.HopFull.Inc()
-		}
-	}
-}
-
-// segN counts the output positions a segment list covers.
-func segN(segs [][2]int, ow int) int {
-	n := 0
-	for _, s := range segs {
-		n += (s[1] - s[0]) * ow
-	}
-	return n
-}
-
-// runBandInt recomputes the listed output-row segments of one conv from the
-// current input image, writing them into the cached output image, and
-// returns the number of output positions it computed. All segments share
-// one kernel dispatch: the band im2col concatenates their rows into a
-// band-local plane at stride pad8(nBand), the compiled row kernels run once
-// over the nBand positions, and the requantised rows are scattered back
-// segment by segment (written in place when there is only one segment).
-func (hs *HopState) runBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int, pol Policy) int {
-	nBand := segN(segs, g.ow)
-	if nBand == 0 {
-		return 0
-	}
-	if q.Kind == kindDepthwise {
-		// The fused column-lane depthwise path beats the scalar tap gather
-		// per position by enough that recomputing the whole plane wins once
-		// the band covers about half of it. A full recompute leaves the
-		// clean rows bit-identical, so the caller's interval propagation is
-		// unaffected.
-		if 2*nBand >= g.oh*g.ow {
-			q.dwSparse(hs.a, x[:int(q.Cin)*g.inStride], out, g.h, g.w, g.oh, g.ow, pol, g.inStride, g.outStride)
-			return g.oh * g.ow
-		}
-		hs.dwBandInt(q, g, x, out, segs, nBand, pol)
-		return nBand
-	}
-	kh, kw := int(q.KH), int(q.KW)
-	pb := pad8(nBand)
-	cols := hs.cols[:int(q.Cin)*kh*kw*pb]
-	if q.pointwise() {
-		// Pointwise: each band plane is the input plane's segment rows,
-		// contiguous — copy them straight across (the generic lowering
-		// walks 1-element taps) and zero only the pad tail the full-word
-		// kernels read past nBand.
-		for ch := 0; ch < int(q.Cin); ch++ {
-			dst := cols[ch*pb:]
-			base := 0
-			for _, s := range segs {
-				n := (s[1] - s[0]) * g.ow
-				copy(dst[base:base+n], x[ch*g.inStride+s[0]*g.ow:][:n])
-				base += n
-			}
-			for i := base; i < pb; i++ {
-				dst[i] = 0
-			}
-		}
-	} else {
-		im2colBandI8(cols, x, int(q.Cin), g.h, g.w, kh, kw, int(q.Stride),
-			int(q.PadH), int(q.PadW), g.inStride, pb, g.ow, segs)
-	}
-
-	a := hs.a
-	r, cout := int(q.R), int(q.Cout)
-	direct := len(segs) == 1
-	base0 := segs[0][0] * g.ow
-	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:r*pb]
-		q.stdHiddenRows8(cols, hidden8, a.acc, nBand, pb)
-		if direct {
-			q.stdOutRows8(hidden8, a.acc, out[base0:], nBand, g.outStride)
-			return nBand
-		}
-		hidB := i8Bytes(hidden8)
-		for c := 0; c < cout; c++ {
-			q.outRowQ8(c, hs.row[:nBand], a.acc[:pb], hidB, pb)
-			hs.scatterInt(out[c*g.outStride:], segs, g.ow)
-		}
-		return nBand
-	}
-	hidW := a.hidW[:r*pb>>1]
-	q.stdHiddenRows(cols, hidW, a.acc, nBand, pb)
-	if direct {
-		q.stdOutRows(hidW, a.acc, out[base0:], nBand, g.outStride)
-		return nBand
-	}
-	for c := 0; c < cout; c++ {
-		q.outRowQ16(c, hs.row[:nBand], a.acc[:pb], hidW, pb)
-		hs.scatterInt(out[c*g.outStride:], segs, g.ow)
-	}
-	return nBand
-}
-
-// scatterInt copies hs.row's band rows back into one channel plane's
-// segments.
-func (hs *HopState) scatterInt(plane []int8, segs [][2]int, ow int) {
-	base := 0
-	for _, s := range segs {
-		n := (s[1] - s[0]) * ow
-		copy(plane[s[0]*ow:][:n], hs.row[base:base+n])
-		base += n
-	}
-}
-
-// dwBandInt is the depthwise band kernel: the scalar tap gather of dwSparse
-// restricted to the band rows. The fused column-lane depthwise path is not
-// worth a band variant — depthwise is a few percent of the stack — and the
-// scalar taps are its bit-exact oracle.
-func (hs *HopState) dwBandInt(q *QConv, g hopGeom, x, out []int8, segs [][2]int, nBand int, pol Policy) {
-	a := hs.a
-	kw := int(q.KW)
-	stride, padH, padW := int(q.Stride), int(q.PadH), int(q.PadW)
-	r := int(q.R)
-	acc := a.acc[:nBand]
-	hacc := a.acc[pad8(nBand):][:nBand]
-	act8 := pol == PolicyInt8
-	direct := len(segs) == 1
-	for ch := 0; ch < int(q.Cin); ch++ {
-		img := x[ch*g.inStride:][:g.h*g.w]
-		for j := range acc {
-			acc[j] = 0
-		}
-		for u := 0; u < r; u++ {
-			hu := ch*r + u
-			wcv := q.wc[hu]
-			if wcv == 0 {
-				continue
-			}
-			for j := range hacc {
-				hacc[j] = 0
-			}
-			plus, minus := q.wbSp.row(hu)
-			for _, p := range plus {
-				dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, 1, segs)
-			}
-			for _, p := range minus {
-				dwGatherTapBand(hacc, img, int(p)/kw, int(p)%kw, g.h, g.w, g.oh, g.ow, stride, padH, padW, -1, segs)
-			}
-			s := int32(1)
-			if wcv < 0 {
-				s = -1
-			}
-			if act8 {
-				foldRowI8(acc, hacc, q.hidMul8[hu], s)
-			} else {
-				foldRowI16(acc, hacc, q.HidMul[hu], s)
-			}
-		}
-		dst := hs.row[:nBand]
-		if direct {
-			dst = out[ch*g.outStride+segs[0][0]*g.ow:][:nBand]
-		}
-		if act8 {
-			q.requantChannel8(dst, acc, ch)
-		} else {
-			q.requantChannel(dst, acc, ch)
-		}
-		if !direct {
-			hs.scatterInt(out[ch*g.outStride:], segs, g.ow)
-		}
-	}
-}
-
-// dwGatherTapBand is dwGatherTap over a band: hacc is band-local (segment
-// rows concatenated), img is the full input plane.
-func dwGatherTapBand(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, padH, padW int, sign int32, segs [][2]int) {
-	oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-	ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-	if ojHi <= ojLo {
-		return
-	}
-	base := 0
-	for _, seg := range segs {
-		lo, hi := seg[0], seg[1]
-		if lo < oiLo {
-			lo = oiLo
-		}
-		if hi > oiHi {
-			hi = oiHi
-		}
-		for oi := lo; oi < hi; oi++ {
-			si := oi*stride + ki - padH
-			sj := ojLo*stride + kj - padW
-			dst := hacc[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
-			if stride == 1 {
-				src := img[si*w+sj:][:len(dst)]
-				if sign > 0 {
-					for j, v := range src {
-						dst[j] += int32(v)
-					}
-				} else {
-					for j, v := range src {
-						dst[j] -= int32(v)
-					}
-				}
-			} else {
-				src := img[si*w:]
-				for j := range dst {
-					dst[j] += sign * int32(src[sj])
-					sj += stride
-				}
-			}
-		}
-		base += (seg[1] - seg[0]) * outW
-	}
-}
-
-// im2colBandI8 lowers the listed output-row segments into band-local column
-// storage: segment rows are concatenated, so position (oi,oj) of segment k
-// lands at segBase(k)+(oi−seg.lo)·outW+oj of each kh·kw·Cin plane. dstP is
-// the band plane stride (pad8(nBand)); dst is zeroed, pad positions
-// included, exactly as im2colI8Into zeroes the full matrix. Pointwise convs
-// route through here too (kh=kw=1): the hop path must copy their band to
-// the band stride rather than alias the image.
-func im2colBandI8(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP, outW int, segs [][2]int) {
-	outH := (h+2*padH-kh)/stride + 1
-	for i := range dst {
-		dst[i] = 0
-	}
-	for ch := 0; ch < c; ch++ {
-		img := x[ch*srcCh:][:h*w]
-		for ki := 0; ki < kh; ki++ {
-			oiLo, oiHi := colRuns(h, ki, stride, padH, outH)
-			for kj := 0; kj < kw; kj++ {
-				ojLo, ojHi := colRuns(w, kj, stride, padW, outW)
-				if ojHi <= ojLo {
-					continue
-				}
-				row := dst[((ch*kh+ki)*kw+kj)*dstP:]
-				base := 0
-				for _, seg := range segs {
-					lo, hi := seg[0], seg[1]
-					if lo < oiLo {
-						lo = oiLo
-					}
-					if hi > oiHi {
-						hi = oiHi
-					}
-					for oi := lo; oi < hi; oi++ {
-						si := oi*stride + ki - padH
-						sj := ojLo*stride + kj - padW
-						drow := row[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
-						if stride == 1 {
-							copy(drow, img[si*w+sj:])
-						} else {
-							src := img[si*w:]
-							j := 0
-							for ; j+1 < len(drow); j += 2 {
-								drow[j] = src[sj]
-								drow[j+1] = src[sj+stride]
-								sj += 2 * stride
-							}
-							for ; j < len(drow); j++ {
-								drow[j] = src[sj]
-								sj += stride
-							}
-						}
-					}
-					base += (seg[1] - seg[0]) * outW
-				}
-			}
 		}
 	}
 }

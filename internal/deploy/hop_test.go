@@ -91,8 +91,8 @@ func TestInferHopMatchesFullStream(t *testing.T) {
 
 // TestInferHopProperty sweeps random engine shapes, random (including
 // ragged and oversized) hop sizes, cold restarts, invalidations and policy
-// flips: every hop must stay bit-exact with the full-window path at the
-// engine's then-current policy.
+// flips: every hop must stay bit-exact with the full-window path and the
+// NaiveInt oracle at the engine's then-current policy.
 func TestInferHopProperty(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		rng := rand.New(rand.NewSource(9100 + seed))
@@ -131,19 +131,67 @@ func TestInferHopProperty(t *testing.T) {
 				tail[i] = float32(rng.NormFloat64())
 			}
 			gotSc, gotCls := e.InferHopInt(hs, win, nNew)
-			wantSc, wantCls := e.InferInt(win)
-			if gotCls != wantCls {
-				t.Fatalf("seed %d hop %d (nNew=%d pol=%v): class %d vs full %d",
-					seed, hop, nNew, e.Policy, gotCls, wantCls)
-			}
-			for j := range wantSc {
-				if gotSc[j] != wantSc[j] {
-					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs full %d",
-						seed, hop, nNew, e.Policy, j, gotSc[j], wantSc[j])
+			// Hop and single-frame inference share one conv executor, so the
+			// dense scalar oracle stands beside InferInt.
+			for _, ref := range []struct {
+				name string
+				run  func([]float32) ([]int32, int)
+			}{{"full", e.InferInt}, {"naive", e.NaiveInt}} {
+				wantSc, wantCls := ref.run(win)
+				if gotCls != wantCls {
+					t.Fatalf("seed %d hop %d (nNew=%d pol=%v): class %d vs %s %d",
+						seed, hop, nNew, e.Policy, gotCls, ref.name, wantCls)
+				}
+				for j := range wantSc {
+					if gotSc[j] != wantSc[j] {
+						t.Fatalf("seed %d hop %d (nNew=%d pol=%v): score[%d]=%d vs %s %d",
+							seed, hop, nNew, e.Policy, j, gotSc[j], ref.name, wantSc[j])
+					}
 				}
 			}
 		}
 		hs.Release()
+	}
+}
+
+// TestInferHopColumnsPaperShape pins the work a warm hop does on the paper
+// shape. Depthwise layers recompute their whole plane whenever a row is
+// dirty, so the count is the standard convs' bands plus both depthwise
+// planes: 445 of a full window's 625 at the default 12-frame hop, and not
+// much less at shorter hops, which pay the whole depthwise planes too.
+// Every hop must stay bit-exact with NaiveInt.
+func TestInferHopColumnsPaperShape(t *testing.T) {
+	for _, tc := range []struct{ nNew, cols int }{
+		{2, 370}, {4, 385}, {8, 415}, {10, 430}, {12, 445},
+	} {
+		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
+			e := SyntheticEngine(9, 0.35)
+			e.Policy = pol
+			rng := rand.New(rand.NewSource(int64(tc.nNew)))
+			s := newHopStream(rng, int(e.Frames), int(e.Coeffs), tc.nNew, 6)
+			hs := e.NewHopState()
+			e.InferHopInt(hs, s.window(0), int(e.Frames))
+			for i := 1; i < s.hops(); i++ {
+				before := hs.Stats().ColumnsComputed
+				gotSc, gotCls := e.InferHopInt(hs, s.window(i), tc.nNew)
+				if hs.LastFull() {
+					t.Fatalf("nNew %d pol %v hop %d: warm hop fell back to a full recompute", tc.nNew, pol, i)
+				}
+				if n := hs.Stats().ColumnsComputed - before; n != int64(tc.cols) {
+					t.Fatalf("nNew %d pol %v hop %d: computed %d columns, want %d", tc.nNew, pol, i, n, tc.cols)
+				}
+				wantSc, wantCls := e.NaiveInt(s.window(i))
+				if gotCls != wantCls {
+					t.Fatalf("nNew %d pol %v hop %d: class %d vs naive %d", tc.nNew, pol, i, gotCls, wantCls)
+				}
+				for j := range wantSc {
+					if gotSc[j] != wantSc[j] {
+						t.Fatalf("nNew %d pol %v hop %d: score[%d]=%d vs naive %d", tc.nNew, pol, i, j, gotSc[j], wantSc[j])
+					}
+				}
+			}
+			hs.Release()
+		}
 	}
 }
 
@@ -226,7 +274,7 @@ func TestInferHopConcurrent(t *testing.T) {
 			str := newHopStream(rng, int(e.Frames), int(e.Coeffs), 12, 40)
 			hs := e.NewHopState()
 			defer hs.Release()
-			ref := e.NewHopState() // full-window oracle without the resident arena
+			ref := e.NewHopState() // full-window oracle off the resident arena
 			defer ref.Release()
 			for i := 0; i < str.hops(); i++ {
 				nNew := 12

@@ -392,11 +392,17 @@ func TestPolicyFlipRebuildsArena(t *testing.T) {
 
 // TestScratchBytesPolicyDelta: the fully-8-bit arena must be strictly
 // smaller than the mixed one (the hidden planes halve), and both must
-// report a stable, positive footprint.
+// report a stable, positive footprint. The mixed paper-shape arena is
+// pinned at 48,056 B: incremental hops stage their bands in the arena's
+// image planes rather than in scratch of their own, so the hop path must
+// not grow it.
 func TestScratchBytesPolicyDelta(t *testing.T) {
 	e := SyntheticEngine(71, 0.35)
 	e.Policy = PolicyMixed
 	mixed := e.ScratchBytes()
+	if mixed != 48056 {
+		t.Fatalf("mixed paper-shape scratch %d B, want 48056", mixed)
+	}
 	e.Policy = PolicyInt8
 	int8b := e.ScratchBytes()
 	if mixed <= 0 || int8b <= 0 {

@@ -109,21 +109,168 @@ func colRuns(n, k, stride, pad, outN int) (lo, hi int) {
 	return lo, hi
 }
 
-// im2colI8Into lowers an int8 image [c,h,w] into caller-owned column
-// storage, the zero-allocation variant of im2colI8. srcCh is the channel
-// stride of x and dstP the plane stride of dst (both ≥ the dense h·w /
-// outH·outW — the engine passes column-lane padded strides, dense callers
-// pass the dense sizes); dst must hold c·kh·kw·dstP entries and is zeroed,
-// pad columns included. Unlike the naive variant, the valid run of each row
-// is computed arithmetically, so the copy loops carry no per-element bounds
-// branches and the common stride-1 case reduces to memmove.
-func im2colI8Into(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP int) (int, int) {
-	outH := (h+2*padH-kh)/stride + 1
-	outW := (w+2*padW-kw)/stride + 1
-	nOut := outH * outW
-	for i := range dst {
-		dst[i] = 0
+// convGeom is one conv layer's spatial geometry and channel strides as the
+// executor sees them: every image past the engine input lives at the
+// column-lane padded stride pad8(oh·ow); the input image is dense.
+type convGeom struct {
+	h, w      int // input spatial size
+	oh, ow    int // output spatial size
+	inStride  int // input channel stride (dense h·w for the first layer)
+	outStride int // output channel stride, pad8(oh·ow)
+}
+
+// convGeoms walks the conv chain from the engine's input image.
+func (e *Engine) convGeoms() []convGeom {
+	gs := make([]convGeom, len(e.Convs))
+	h, w := int(e.Frames), int(e.Coeffs)
+	inStride := h * w
+	for i, q := range e.Convs {
+		oh, ow := q.outSize(h, w)
+		gs[i] = convGeom{h: h, w: w, oh: oh, ow: ow, inStride: inStride, outStride: pad8(oh * ow)}
+		h, w, inStride = oh, ow, gs[i].outStride
 	}
+	return gs
+}
+
+// segN counts the output positions a segment list covers.
+func segN(segs [][2]int, ow int) int {
+	n := 0
+	for _, s := range segs {
+		n += (s[1] - s[0]) * ow
+	}
+	return n
+}
+
+// runBand is the conv executor, the one way every integer path runs a
+// convolution. It recomputes the listed output-row segments of q from the
+// input image x into the output image out and returns the number of output
+// positions it computed. Single-frame inference passes one whole-plane
+// segment; an incremental hop passes the rows its cache cannot keep.
+//
+// Standard convs share one kernel dispatch across all segments: the band
+// im2col concatenates their rows into a band-local plane at stride
+// pad8(nBand), the compiled row kernels run once over the nBand positions,
+// and the requantised rows land in out directly when there is one segment,
+// or are staged per channel and scattered back segment by segment. A
+// pointwise conv's whole plane is its own im2col matrix, so it is read in
+// place at the image's channel stride; a partial pointwise band is copied
+// to the band stride instead, since a band slice at the image stride would
+// let the full-word loads read past the plane.
+//
+// Depthwise convs always recompute their whole plane through dwSparse: its
+// fused column-lane walk has no band form, and rows outside the segments
+// come out bit-identical to what the caller cached.
+//
+// Partial bands stage through the arena's ping-pong planes (imgA for the
+// pointwise copy, imgB for the per-channel rows), so x and out must not be
+// those planes unless the segment covers the whole plane.
+func (q *QConv) runBand(a *arena, g convGeom, x, out []int8, segs [][2]int, pol Policy) int {
+	nBand := segN(segs, g.ow)
+	if nBand == 0 {
+		return 0
+	}
+	if q.Kind == kindDepthwise {
+		q.dwSparse(a, g, x[:int(q.Cin)*g.inStride], out, pol)
+		return g.oh * g.ow
+	}
+	cin, kh, kw := int(q.Cin), int(q.KH), int(q.KW)
+	pb := pad8(nBand)
+	var cols []int8
+	ps := pb // im2col plane stride
+	switch {
+	case q.pointwise() && nBand == g.oh*g.ow:
+		cols, ps = x[:cin*g.inStride], g.inStride
+	case q.pointwise():
+		// Each band plane is the input plane's segment rows, contiguous:
+		// copy them straight across and zero the pad tail the full-word
+		// kernels read past nBand.
+		cols = a.imgA[:cin*pb]
+		for ch := 0; ch < cin; ch++ {
+			n := gatherRows(cols[ch*pb:], x[ch*g.inStride:], segs, g.ow)
+			clear(cols[ch*pb+n : (ch+1)*pb])
+		}
+	default:
+		cols = a.cols[:cin*kh*kw*pb]
+		im2colBandI8(cols, x, cin, g.h, g.w, kh, kw, int(q.Stride),
+			int(q.PadH), int(q.PadW), g.inStride, pb, g.ow, segs)
+	}
+
+	// Hidden rows: biased two-lane int16 words under the mixed policy, int8
+	// planes under PolicyInt8, both at the band stride. Rows run serially
+	// through one accumulator strip, the fused kernels' fallback scratch.
+	colsB := i8Bytes(cols)
+	acc := a.acc[:pb]
+	act8 := pol == PolicyInt8
+	var hidB []byte
+	var hidW []uint64
+	if act8 {
+		hidden8 := a.hidden8[:int(q.R)*pb]
+		for i := 0; i < int(q.R); i++ {
+			q.hidRowQ8(i, hidden8[i*pb:][:nBand], acc, colsB, ps)
+		}
+		hidB = i8Bytes(hidden8)
+	} else {
+		hidW = a.hidW[:int(q.R)*pb>>1]
+		for i := 0; i < int(q.R); i++ {
+			q.hidRowQ16(i, hidW[i*pb>>1:][:pb>>1], acc, colsB, ps)
+		}
+	}
+
+	// Output channels: only the real nBand columns are written.
+	direct := len(segs) == 1
+	base0 := segs[0][0] * g.ow
+	row := a.imgB[:nBand]
+	for c := 0; c < int(q.Cout); c++ {
+		dst := row
+		if direct {
+			dst = out[c*g.outStride+base0:][:nBand]
+		}
+		if act8 {
+			q.outRowQ8(c, dst, acc, hidB, pb)
+		} else {
+			q.outRowQ16(c, dst, acc, hidW, pb)
+		}
+		if !direct {
+			scatterRows(out[c*g.outStride:], row, segs, g.ow)
+		}
+	}
+	return nBand
+}
+
+// gatherRows copies one channel plane's segment rows into a band-local
+// plane, returning the number of positions copied.
+func gatherRows(band, plane []int8, segs [][2]int, ow int) int {
+	base := 0
+	for _, s := range segs {
+		n := (s[1] - s[0]) * ow
+		copy(band[base:base+n], plane[s[0]*ow:][:n])
+		base += n
+	}
+	return base
+}
+
+// scatterRows copies a band-local row back into one channel plane's
+// segments, the inverse of gatherRows.
+func scatterRows(plane, band []int8, segs [][2]int, ow int) {
+	base := 0
+	for _, s := range segs {
+		n := (s[1] - s[0]) * ow
+		copy(plane[s[0]*ow:][:n], band[base:base+n])
+		base += n
+	}
+}
+
+// im2colBandI8 lowers the listed output-row segments of an int8 image
+// [c,h,w] (channel stride srcCh) into band-local column storage: segment
+// rows are concatenated, so position (oi,oj) of segment k lands at
+// segBase(k)+(oi−seg.lo)·outW+oj of each kh·kw·c plane, and dstP is the
+// band plane stride (pad8(nBand)). dst is zeroed, pad positions included.
+// The valid run of each row is computed arithmetically, so the copy loops
+// carry no per-element bounds branches and the common stride-1 case
+// reduces to memmove.
+func im2colBandI8(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, srcCh, dstP, outW int, segs [][2]int) {
+	outH := (h+2*padH-kh)/stride + 1
+	clear(dst)
 	for ch := 0; ch < c; ch++ {
 		img := x[ch*srcCh:][:h*w]
 		for ki := 0; ki < kh; ki++ {
@@ -133,133 +280,34 @@ func im2colI8Into(dst []int8, x []int8, c, h, w, kh, kw, stride, padH, padW, src
 				if ojHi <= ojLo {
 					continue
 				}
-				row := dst[((ch*kh+ki)*kw+kj)*dstP:][:nOut]
-				for oi := oiLo; oi < oiHi; oi++ {
-					si := oi*stride + ki - padH
-					sj := ojLo*stride + kj - padW
-					drow := row[oi*outW+ojLo : oi*outW+ojHi]
-					if stride == 1 {
-						copy(drow, img[si*w+sj:])
-					} else {
-						src := img[si*w:]
-						j := 0
-						for ; j+1 < len(drow); j += 2 {
-							drow[j] = src[sj]
-							drow[j+1] = src[sj+stride]
-							sj += 2 * stride
-						}
-						for ; j < len(drow); j++ {
-							drow[j] = src[sj]
-							sj += stride
+				row := dst[((ch*kh+ki)*kw+kj)*dstP:]
+				base := 0
+				for _, seg := range segs {
+					lo, hi := max(seg[0], oiLo), min(seg[1], oiHi)
+					for oi := lo; oi < hi; oi++ {
+						si := oi*stride + ki - padH
+						sj := ojLo*stride + kj - padW
+						drow := row[base+(oi-seg[0])*outW+ojLo : base+(oi-seg[0])*outW+ojHi]
+						if stride == 1 {
+							copy(drow, img[si*w+sj:])
+						} else {
+							src := img[si*w:]
+							j := 0
+							for ; j+1 < len(drow); j += 2 {
+								drow[j] = src[sj]
+								drow[j+1] = src[sj+stride]
+								sj += 2 * stride
+							}
+							for ; j < len(drow); j++ {
+								drow[j] = src[sj]
+								sj += stride
+							}
 						}
 					}
+					base += (seg[1] - seg[0]) * outW
 				}
 			}
 		}
-	}
-	return outH, outW
-}
-
-// forwardInto runs the convolution through the sparse kernels using the
-// arena's scratch memory, writing the int8 output image into out. pol picks
-// the activation layout for the hidden planes; the arena must have been
-// built for the same policy. inStride/outStride are the channel strides of
-// x and out: the engine's column-lane path passes pad8(h·w)/pad8(outH·outW)
-// so every internal plane gather runs full SWAR width (collane.go), while
-// dense callers pass the exact spatial sizes and get the tailed kernels.
-func (q *QConv) forwardInto(a *arena, x []int8, out []int8, h, w int, pol Policy, inStride, outStride int) (int, int) {
-	kh, kw, stride := int(q.KH), int(q.KW), int(q.Stride)
-	padH, padW := int(q.PadH), int(q.PadW)
-	outH := (h+2*padH-kh)/stride + 1
-	outW := (w+2*padW-kw)/stride + 1
-	nOut := outH * outW
-	if q.Kind == kindDepthwise {
-		// Depthwise gathers straight from the image (see dwSparse): its
-		// im2col matrix would materialise kh·kw rows per channel of which
-		// only the Wb nonzeros are ever read.
-		q.dwSparse(a, x, out, h, w, outH, outW, pol, inStride, outStride)
-		return outH, outW
-	}
-	pa := pad8(nOut)
-	var cols []int8
-	ps := pa
-	if q.pointwise() {
-		// Pointwise: the im2col matrix is the image itself, at whatever
-		// channel stride the caller stored it.
-		cols = x[:int(q.Cin)*inStride]
-		ps = inStride
-	} else {
-		cols = a.cols[:int(q.Cin)*kh*kw*pa]
-		im2colI8Into(cols, x, int(q.Cin), h, w, kh, kw, stride, padH, padW, inStride, pa)
-	}
-	q.stdSparse(a, cols, out, nOut, ps, outStride, pol)
-	return outH, outW
-}
-
-// stdSparse is the standard-conv kernel: SWAR ternary matmul into the
-// hidden planes (biased two-lane int16 words under the mixed policy, int8
-// under PolicyInt8), then a ternary 1×1 combine with per-channel
-// requantisation. ps is the im2col plane stride, outStride the output
-// channel stride; the hidden planes always live at the padded stride
-// pad8(nOut).
-func (q *QConv) stdSparse(a *arena, cols, out []int8, nOut, ps, outStride int, pol Policy) {
-	pa := pad8(nOut)
-	if pol == PolicyInt8 {
-		hidden8 := a.hidden8[:int(q.R)*pa]
-		q.stdHiddenRows8(cols, hidden8, a.acc, nOut, ps)
-		q.stdOutRows8(hidden8, a.acc, out, nOut, outStride)
-		return
-	}
-	hidW := a.hidW[:int(q.R)*pa>>1]
-	q.stdHiddenRows(cols, hidW, a.acc, nOut, ps)
-	q.stdOutRows(hidW, a.acc, out, nOut, outStride)
-}
-
-// stdHiddenRows computes every hidden row under the mixed policy: each row
-// gathers its +/− im2col planes (at plane stride ps, through the index-list
-// runs walk) and rescales to int16 through the per-hidden-unit fixed-point
-// multiplier, stored as biased two-lane words at the padded stride. Rows
-// run serially through one accumulator strip, the fallback's scratch.
-func (q *QConv) stdHiddenRows(cols []int8, hidW []uint64, accBuf []int32, nOut, ps int) {
-	colsB := i8Bytes(cols)
-	pa := pad8(nOut)
-	acc := accBuf[:pa]
-	for i := 0; i < int(q.R); i++ {
-		q.hidRowQ16(i, hidW[i*pa>>1:][:pa>>1], acc, colsB, ps)
-	}
-}
-
-// stdHiddenRows8 is stdHiddenRows under PolicyInt8: the hidden planes are
-// stored int8 through the derived hidMul8 requantiser.
-func (q *QConv) stdHiddenRows8(cols []int8, hidden8 []int8, accBuf []int32, nOut, ps int) {
-	colsB := i8Bytes(cols)
-	pa := pad8(nOut)
-	acc := accBuf[:pa]
-	for i := 0; i < int(q.R); i++ {
-		q.hidRowQ8(i, hidden8[i*pa:][:nOut], acc, colsB, ps)
-	}
-}
-
-// stdOutRows computes every output channel from the biased two-lane hidden
-// words (mixed policy) through the fused word combine, two columns per
-// add; only the real nOut columns are written to out.
-func (q *QConv) stdOutRows(hidW []uint64, accBuf []int32, out []int8, nOut, os int) {
-	pa := pad8(nOut)
-	acc := accBuf[:pa]
-	for c := 0; c < int(q.Cout); c++ {
-		q.outRowQ16(c, out[c*os:][:nOut], acc, hidW, pa)
-	}
-}
-
-// stdOutRows8 computes every output channel from int8 hidden planes
-// (PolicyInt8) through the index-list runs walk; only the real nOut columns
-// are written to out.
-func (q *QConv) stdOutRows8(hidden8 []int8, accBuf []int32, out []int8, nOut, os int) {
-	hidB := i8Bytes(hidden8)
-	pa := pad8(nOut)
-	acc := accBuf[:pa]
-	for c := 0; c < int(q.Cout); c++ {
-		q.outRowQ8(c, out[c*os:][:nOut], acc, hidB, pa)
 	}
 }
 
@@ -304,7 +352,8 @@ func dwGatherTap(hacc []int32, img []int8, ki, kj, h, w, outH, outW, stride, pad
 // (the naive path computes them and then discards the result). Channels are
 // processed serially: per-channel work is tiny and the standard-conv stages
 // dominate.
-func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Policy, inStride, outStride int) {
+func (q *QConv) dwSparse(a *arena, g convGeom, x, out []int8, pol Policy) {
+	h, w, outH, outW := g.h, g.w, g.oh, g.ow
 	kw := int(q.KW)
 	stride := int(q.Stride)
 	padH, padW := int(q.PadH), int(q.PadW)
@@ -314,13 +363,13 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 	acc := a.acc[:nOut]
 	hacc := a.acc[pa:][:pa]
 	act8 := pol == PolicyInt8
-	// The column-lane walk (collane.go) serves callers at the compiled
-	// padded stride; dense-stride callers keep the scalar tap gather. The
-	// edge-shifted loads of the fused path need one full word per plane.
-	useCol := q.dwCol && outStride == q.dwColNG<<3
-	fuse1 := useCol && r == 1 && h*w >= 8
+	// The column-lane walk (collane.go) serves every geometry that admits
+	// it (dwCol); stride-2 and width-changing convs keep the scalar tap
+	// gather. The edge-shifted loads of the fused path need one full word
+	// per plane.
+	fuse1 := q.dwCol && r == 1 && h*w >= 8
 	for ch := 0; ch < int(q.Cin); ch++ {
-		img := x[ch*inStride:]
+		img := x[ch*g.inStride:]
 		if fuse1 {
 			// One hidden unit per channel: the whole chain fuses into a
 			// single pass (dwColQ8/dwColQ16), no int32 round-trips.
@@ -331,7 +380,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 				hm, om = q.HidMul[ch], q.OutMul[ch]
 			}
 			if !satMult(hm) && !satMult(om) {
-				dst := out[ch*outStride:][:nOut]
+				dst := out[ch*g.outStride:][:nOut]
 				if wcv := q.wc[ch]; wcv == 0 {
 					// The unit is pruned: the channel requantises a zero
 					// accumulator, a constant.
@@ -360,7 +409,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			}
 		}
 		var imgB []byte
-		if useCol {
+		if q.dwCol {
 			imgB = i8Bytes(img)
 		} else {
 			img = img[:h*w]
@@ -375,7 +424,7 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 				continue
 			}
 			plus, minus := q.wbSp.row(hu)
-			if useCol {
+			if q.dwCol {
 				gLo, gHi := q.dwColUnit(hacc, imgB, plus, minus)
 				for j := 0; j < gLo<<3 && j < nOut; j++ {
 					hacc[j] = dwColScalarPos(img, plus, minus, h, w, outW, kw, padH, padW, j)
@@ -405,9 +454,9 @@ func (q *QConv) dwSparse(a *arena, x, out []int8, h, w, outH, outW int, pol Poli
 			}
 		}
 		if act8 {
-			q.requantChannel8(out[ch*outStride:][:nOut], acc, ch)
+			q.requantChannel8(out[ch*g.outStride:][:nOut], acc, ch)
 		} else {
-			q.requantChannel(out[ch*outStride:][:nOut], acc, ch)
+			q.requantChannel(out[ch*g.outStride:][:nOut], acc, ch)
 		}
 	}
 }

@@ -29,18 +29,18 @@ func randMults(rng *rand.Rand, n int) []Mult {
 	return ms
 }
 
-// arenaForConv sizes a minimal arena for one convolution, so kernels can be
-// property-tested without a full engine.
-func arenaForConv(q *QConv, h, w int) *arena {
-	oh, ow := q.outSize(h, w)
-	// Internal plane and accumulator slots live at the column-lane padded
-	// stride even when the caller's input/output strides are dense.
-	pa := pad8(oh * ow)
+// arenaForConv sizes a minimal arena for one convolution at geometry g, so
+// the conv executor can be property-tested without a full engine.
+func arenaForConv(q *QConv, g convGeom) *arena {
+	pa := g.outStride
 	acc := pa
 	if q.Kind == kindDepthwise {
 		acc = 2 * pa
 	}
+	img := max(int(q.Cin)*g.inStride, int(q.Cout)*pa)
 	return &arena{
+		imgA:    make([]int8, img),
+		imgB:    make([]int8, img),
 		cols:    make([]int8, int(q.Cin)*int(q.KH)*int(q.KW)*pa),
 		hidW:    make([]uint64, int(q.R)*pa>>1),
 		hidden8: make([]int8, int(q.R)*pa),
@@ -48,9 +48,14 @@ func arenaForConv(q *QConv, h, w int) *arena {
 	}
 }
 
-// TestSparseConvMatchesNaive asserts the sparse gather kernels produce
-// bit-identical output to the retained dense reference across randomized
-// shapes, densities and seeds, for both conv kinds.
+// TestSparseConvMatchesNaive asserts the conv executor produces output
+// bit-identical to the retained dense reference across randomized shapes,
+// densities and seeds, for both conv kinds and both policies. Images sit at
+// the engine's padded channel strides. Each shape runs once as a
+// whole-plane segment (the single-frame path) and then over random row
+// bands (the hop path), which must rewrite exactly their rows. The stride-2
+// and width-changing depthwise shapes here are the only coverage of the
+// scalar tap gather (dwGatherTap).
 func TestSparseConvMatchesNaive(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -105,14 +110,58 @@ func TestSparseConvMatchesNaive(t *testing.T) {
 			x[i] = int8(rng.Intn(255) - 127)
 		}
 		q.compileKernels()
-		a := arenaForConv(q, h, w)
-		got := make([]int8, int(q.Cout)*oh*ow)
+		q.compileDWCol(h, w)
+		g := convGeom{h: h, w: w, oh: oh, ow: ow, inStride: pad8(h * w), outStride: pad8(oh * ow)}
+		xp := make([]int8, cin*g.inStride)
+		for ch := 0; ch < cin; ch++ {
+			copy(xp[ch*g.inStride:], x[ch*h*w:(ch+1)*h*w])
+		}
+		a := arenaForConv(q, g)
+		got := make([]int8, int(q.Cout)*g.outStride)
+		band := make([]int8, len(got))
 		for _, pol := range []Policy{PolicyMixed, PolicyInt8} {
 			want, _, _ := q.forwardRef(x, h, w, pol)
-			q.forwardInto(a, x, got, h, w, pol, h*w, oh*ow)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("seed %d kind %q pol %v: sparse[%d]=%d naive=%d", seed, q.Kind, pol, i, got[i], want[i])
+			if n := q.runBand(a, g, xp, got, [][2]int{{0, oh}}, pol); n != oh*ow {
+				t.Fatalf("seed %d: whole plane computed %d positions, want %d", seed, n, oh*ow)
+			}
+			for c := 0; c < int(q.Cout); c++ {
+				for j := 0; j < oh*ow; j++ {
+					if v := got[c*g.outStride+j]; v != want[c*oh*ow+j] {
+						t.Fatalf("seed %d kind %q pol %v: executor[%d,%d]=%d naive=%d",
+							seed, q.Kind, pol, c, j, v, want[c*oh*ow+j])
+					}
+				}
+			}
+			// Random bands: a top segment, a bottom segment, or both. Rows
+			// outside the segments must keep their sentinel (standard convs)
+			// or be rewritten bit-identically (depthwise recomputes the
+			// whole plane).
+			for trial := 0; trial < 4; trial++ {
+				lo := rng.Intn(oh + 1)
+				hi := lo + rng.Intn(oh-lo+1)
+				var segs [][2]int
+				if lo > 0 {
+					segs = append(segs, [2]int{0, lo})
+				}
+				if hi < oh {
+					segs = append(segs, [2]int{hi, oh})
+				}
+				for i := range band {
+					band[i] = 0x5a
+				}
+				q.runBand(a, g, xp, band, segs, pol)
+				for c := 0; c < int(q.Cout); c++ {
+					for j := 0; j < oh*ow; j++ {
+						oi := j / ow
+						want := got[c*g.outStride+j]
+						if oi >= lo && oi < hi && (q.Kind == kindStandard || len(segs) == 0) {
+							want = 0x5a
+						}
+						if v := band[c*g.outStride+j]; v != want {
+							t.Fatalf("seed %d kind %q pol %v segs %v: band[%d,%d]=%d want %d",
+								seed, q.Kind, pol, segs, c, j, v, want)
+						}
+					}
 				}
 			}
 		}

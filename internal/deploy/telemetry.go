@@ -11,8 +11,8 @@ import (
 // histograms, inference and fault counters, a gather-add work counter, the
 // scratch-arena high-water gauge, and engine→layer trace spans.
 //
-// An engine with a nil observer pays one pointer comparison per inference —
-// the sparse path is otherwise byte-for-byte the PR 2 code, so disabled
+// An engine with a nil observer pays one pointer comparison per pipeline
+// stage — inferArena runs the same executor calls either way — so disabled
 // telemetry keeps InferInt at 0 allocs/op (pinned by TestEngineInferZeroAllocs
 // and the ci.sh bench gate).
 type Observer struct {
@@ -172,48 +172,21 @@ func (o *Observer) noteArena(a *arena) {
 	o.ArenaBytes.SetMax(a.bytes())
 }
 
-// inferArenaObserved is inferArena with per-layer attribution: a span and a
-// latency observation around every stage, plus the whole-pipeline histogram
-// and work counters. It is a separate function so the unobserved path keeps
-// its exact instruction stream — the integer word-packed loop is what gets
-// observed, at whichever policy the arena was built for.
-func (e *Engine) inferArenaObserved(a *arena, x []float32, pol Policy) ([]int32, int) {
-	o := e.obs
-	root := o.tracer.Span("engine.infer")
-	t0 := time.Now()
-	e.quantizeInto(a.imgA[:len(x)], x)
-	img, next := a.imgA, a.imgB
-	h, w := int(e.Frames), int(e.Coeffs)
-	st := h * w
-	for i, conv := range e.Convs {
-		sp := root.Child(o.LayerNames[i])
-		tl := time.Now()
-		oh, ow := conv.outSize(h, w)
-		ost := pad8(oh * ow)
-		conv.forwardInto(a, img[:int(conv.Cin)*st], next, h, w, pol, st, ost)
-		o.LayerNs[i].ObserveSince(tl)
-		sp.End()
-		img, next = next, img
-		h, w = oh, ow
-		st = ost
+// stage opens pipeline stage i's span (LayerNames[i]) under root and starts
+// its clock. A nil observer returns zero values, so inferArena runs the same
+// layer loop with and without telemetry.
+func (o *Observer) stage(root telemetry.Span, i int) (telemetry.Span, time.Time) {
+	if o == nil {
+		return telemetry.Span{}, time.Time{}
 	}
-	nLayers := len(e.Convs)
-	c := int(e.Convs[nLayers-1].Cout)
-	sp := root.Child("pool")
-	tl := time.Now()
-	pooled := a.pooled
-	ph, pw := poolInto(pooled, img, c, h, w, int(e.PoolK), int(e.PoolS), st)
-	o.LayerNs[nLayers].ObserveSince(tl)
+	return root.Child(o.LayerNames[i]), time.Now()
+}
+
+// endStage records stage i's latency and closes its span (nil-safe).
+func (o *Observer) endStage(i int, sp telemetry.Span, t time.Time) {
+	if o == nil {
+		return
+	}
+	o.LayerNs[i].ObserveSince(t)
 	sp.End()
-	sp = root.Child("tree")
-	tl = time.Now()
-	sc := e.Tree.forwardInto(a, pooled[:c*ph*pw])
-	o.LayerNs[nLayers+1].ObserveSince(tl)
-	sp.End()
-	o.InferNs.ObserveSince(t0)
-	o.Infers.Inc()
-	o.Gathers.Add(o.gathersPerInfer)
-	o.TwoPhaseRows.Add(o.twoPhaseFrame[pol])
-	root.End()
-	return sc, argmax(sc)
 }
